@@ -1,18 +1,21 @@
 """Run two sets of benchmark runs and report whether they agree within the bounds.
 
     python3 perfbench/compare.py [--runs 10] [--workload NAME ...] [--seconds S]
-                                 [--sets 2] [--first-seed 1]
+                                 [--first-seed 1]
 
-Every run is a fresh ``perfbench/run.py`` process.  Set k uses seeds
-first-seed + k*runs .. first-seed + (k+1)*runs - 1, so no two runs share a
-seed.  For each workload and end-to-end metric the report gives each set's
-median and its spread, the distance between the first and third quartiles
-(``statistics.quantiles(values, n=4)``) as a share of the median.  The sets
-agree when:
+Every run is a fresh ``perfbench/run.py`` process.  The first set uses seeds
+first-seed .. first-seed + runs - 1 and the second the next ``runs`` seeds,
+so no two runs share a seed.  For each workload and end-to-end metric the
+report gives each set's median and its spread, the distance between the
+first and third quartiles (``statistics.quantiles(values, n=4)``) as a share
+of the median.  The sets agree when:
 
-* every spread, except that of setup_s, is within the metric's bound;
-* the second set's median is not worse than the first's by more than the bound;
-* the share of failed operations is exactly the same in every run.
+* every spread, setup_s's too, is within the metric's bound;
+* the two medians differ by no more than the bound times the first median,
+  in either direction: a drift that makes the second set faster shows as
+  much as one that makes it slower;
+* every run is correct and the share of failed operations is exactly the
+  same in every run.
 
 Raw results go to ``out/perfbench/compare.json``.  Exit status 0 when the
 sets agree, 1 otherwise.
@@ -55,7 +58,6 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--sets", type=int, default=2)
     p.add_argument("--workload", action="append")
     p.add_argument("--seconds", type=int, default=bench["run_seconds"])
     p.add_argument("--first-seed", type=int, default=1)
@@ -65,7 +67,7 @@ def main(argv=None) -> int:
     raw: dict[str, list[list[dict]]] = {}
     for wl in workloads:
         raw[wl] = []
-        for k in range(args.sets):
+        for k in range(2):
             base = args.first_seed + k * args.runs
             runs = []
             for seed in range(base, base + args.runs):
@@ -84,7 +86,7 @@ def main(argv=None) -> int:
     agree = True
     print(f"\n{'workload':14s} {'metric':12s} {'bound':>6s} "
           + " ".join(f"{'median' + str(k + 1):>10s} {'spread' + str(k + 1):>8s}"
-                     for k in range(args.sets)) + "  verdict")
+                     for k in range(2)) + "  verdict")
     for wl in workloads:
         sets = raw[wl]
         shares = {Fraction(r["failed"], r["attempted"]) for runs in sets for r in runs}
@@ -94,14 +96,12 @@ def main(argv=None) -> int:
                   f"{all(r['correct'] for runs in sets for r in runs)}  DISAGREE")
         for m in bench["end_to_end"]:
             name, bound = m["name"], m["bound"]
-            sign = 1.0 if m["better"] == "lower" else -1.0
             meds, spreads = [], []
             for runs in sets:
                 vals = [r["metrics"][name]["value"] for r in runs]
                 meds.append(statistics.median(vals))
                 spreads.append(spread(vals))
-            ok = all(s <= bound for s in spreads) or name == "setup_s"
-            ok &= all(sign * (meds[k] - meds[0]) <= bound * meds[0] for k in range(1, len(meds)))
+            ok = all(s <= bound for s in spreads) and abs(meds[1] - meds[0]) <= bound * meds[0]
             agree &= ok
             print(f"{wl:14s} {name:12s} {bound:6.2f} "
                   + " ".join(f"{md:10.4g} {sp:8.4f}" for md, sp in zip(meds, spreads))

@@ -11,9 +11,8 @@ object as the last line of standard output:
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 
 With ``--trace 0`` the metrics are the end-to-end ones of BENCHMARK.json;
-with ``--trace 1`` every round runs once untraced and once traced, and the
-metrics are the per-layer ones.  Spans of a traced run are written to
-``out/perfbench/`` as JSON lines.
+with ``--trace 1`` every round runs traced and the metrics are the per-layer
+ones.  Spans of a traced run are written to ``out/perfbench/`` as JSON lines.
 """
 
 from __future__ import annotations
@@ -39,7 +38,9 @@ from pathlib import Path  # noqa: E402
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
-SETUP_PROBES = 5
+# set-up probes before the first round and after every round: spread over the
+# whole run, their median sees the same stretches of host speed as the rounds
+PROBES_PER_GAP = 3
 
 
 def setup_times(instances: tuple[str, ...]) -> list[float]:
@@ -49,7 +50,7 @@ def setup_times(instances: tuple[str, ...]) -> list[float]:
     prints CLOCK_MONOTONIC, which is shared by all processes of the machine.
     """
     times = []
-    for _ in range(SETUP_PROBES):
+    for _ in range(PROBES_PER_GAP):
         t0 = time.monotonic()
         proc = subprocess.run([sys.executable, str(HERE / "setup_probe.py"), *instances],
                               capture_output=True, text=True, timeout=120)
@@ -106,9 +107,16 @@ def check_results(ops, results, problems: list[str]) -> int:
     return failed
 
 
-def layer_metrics(spec: list[dict], rounds: list[dict]) -> dict[str, dict]:
-    """Per-layer figures of the traced passes: counts are means per round, self
-    times medians per round, and ratios are taken over all traced rounds."""
+def layer_metrics(spec: list[dict], rounds: list[dict],
+                  wrapper_costs: tuple[float, float]) -> dict[str, dict]:
+    """Per-layer figures of the traced rounds: counts are means per round, self
+    times medians per round, and ratios are taken over all traced rounds.
+
+    ``trace.overhead_s`` is the wrappers' cost per round: spans per round times
+    the cost of a span wrapper plus counted calls per round times the cost of
+    a counter wrapper, both measured in this run.  A traced round's wall time
+    minus an untraced one's would measure the host's drift between the two
+    more than the wrappers."""
     def total(field: str, key: str) -> float:
         return sum(getattr(r["tracer"], field)[key] for r in rounds)
 
@@ -135,8 +143,9 @@ def layer_metrics(spec: list[dict], rounds: list[dict]) -> dict[str, dict]:
         "finite.expurgate_simulate.trials_per_s":
             ratio(work["simulate_trials"], total("incl_s", "finite.expurgate_simulate")),
         "trace.overhead_s":
-            statistics.median(r["traced_wall"] for r in rounds)
-            - statistics.median(r["wall"] for r in rounds),
+            (sum(len(r["tracer"].spans) for r in rounds) * wrapper_costs[0]
+             + sum(r["tracer"].counted_calls() for r in rounds) * wrapper_costs[1])
+            / len(rounds),
     }
     out = {}
     for m in spec:
@@ -182,7 +191,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(SRC), str(HERE)]
 
     import workloads                      # noqa: E402  (needs the path set above)
-    from tracer import Tracer             # noqa: E402
+    from tracer import Tracer, wrapper_costs  # noqa: E402
 
     wl_class = workloads.WORKLOADS[args.workload]
     setups = setup_times(wl_class.instances)
@@ -194,7 +203,9 @@ def main(argv=None) -> int:
     measured = 0.0
     while not rounds or measured < args.seconds:
         ops = wl.round(len(rounds))
-        rec = run_ops(ops)
+        tracer = Tracer() if args.trace else None
+        rec = run_ops(ops, tracer)
+        rec["tracer"] = tracer
         rec["units"] = {}
         for op in ops:
             for k, v in op.units.items():
@@ -202,26 +213,20 @@ def main(argv=None) -> int:
         measured += rec["wall"]
         attempted += len(ops)
         failed += check_results(ops, rec.pop("results"), problems)
-        if args.trace:
-            tracer = Tracer()
-            traced = run_ops(ops, tracer)
-            rec["traced_wall"] = traced["wall"]
-            rec["tracer"] = tracer
-            measured += traced["wall"]
-            attempted += len(ops)
-            failed += check_results(ops, traced["results"], problems)
         rounds.append(rec)
+        setups += setup_times(wl_class.instances)
         print(f"# round {len(rounds)}: {rec['wall']:.3f} s wall, {rec['cpu']:.3f} s cpu; "
               f"operations {' '.join(f'{t:.3f}' for t in rec['op_wall'])} s", file=sys.stderr)
 
+    if args.trace:
+        # a layer whose function is gone would read 0, which looks like a gain
+        problems.extend(f"not traced, absent from the program: {name}"
+                        for name in rounds[0]["tracer"].missing)
     for line in problems:
         print(f"# check failed: {line}", file=sys.stderr)
 
     if args.trace:
-        metrics = layer_metrics(bench["per_layer"], rounds)
-        missing = rounds[0]["tracer"].missing
-        if missing:
-            print(f"# not traced (absent): {', '.join(missing)}", file=sys.stderr)
+        metrics = layer_metrics(bench["per_layer"], rounds, wrapper_costs())
         write_spans(ROOT / "out" / "perfbench" / f"spans-{args.workload}-seed{args.seed}.jsonl",
                     rounds)
     else:
