@@ -3,10 +3,11 @@
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
 Run from the repository root.  The runner imports ``expurg`` from ``src/``
-of the same checkout, runs whole rounds of the workload's operations until
-S seconds of rounds are measured, checks every output against the reference
-computations in ``reference.py`` outside the timed span, and prints one JSON
-object as the last line of standard output:
+of the same checkout, runs whole rounds of the workload's operations for
+S seconds (at least three rounds, and none that would end past S), checks
+every output against the reference computations in ``reference.py``
+outside the timed span, and prints one JSON object as the last line of
+standard output:
 
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 
@@ -28,6 +29,7 @@ for _var in THREAD_VARS:
 import argparse          # noqa: E402
 import contextlib        # noqa: E402
 import json              # noqa: E402
+import math              # noqa: E402
 import resource          # noqa: E402
 import statistics        # noqa: E402
 import subprocess        # noqa: E402
@@ -35,28 +37,68 @@ import sys               # noqa: E402
 import time              # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np       # noqa: E402
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 # set-up probes before the first round and after every round: spread over the
 # whole run, their median sees the same stretches of host speed as the rounds
 PROBES_PER_GAP = 3
+# every operation is timed at least this often, for a median over passes
+MIN_ROUNDS = 3
+# host-speed kernel: its time on the reference speed, and repetitions per reading
+KERNEL_REF_S = 1.0e-3
+KERNEL_REPS = 7
+
+
+def _kernel_py():
+    acc = 0
+    for i in range(20000):
+        acc += i * i
+
+
+def _kernel_np(m=np.linspace(0.1, 0.9, 64).reshape(8, 8)):
+    for _ in range(100):
+        m = np.exp(np.log(m + 1.0) - 0.5)
+        m = m / m.sum(axis=1, keepdims=True)
+        float(m.max())
+
+
+def kernel_s() -> float:
+    """The host's current speed: the time of a fixed kernel of interpreted
+    arithmetic and small numpy steps, the mix the program's solvers run
+    (geometric mean of the medians of the two parts' times)."""
+    logs = []
+    for part in (_kernel_py, _kernel_np):
+        times = []
+        for _ in range(KERNEL_REPS):
+            t0 = time.perf_counter()
+            part()
+            times.append(time.perf_counter() - t0)
+        logs.append(math.log(statistics.median(times)))
+    return math.exp(sum(logs) / len(logs))
 
 
 def setup_times(instances: tuple[str, ...]) -> list[float]:
-    """Process start to ready-for-the-first-operation, in fresh interpreters.
+    """Process start to ready-for-the-first-operation, in fresh interpreters,
+    each scaled to the reference host speed.
 
     Each probe imports ``expurg`` and builds the workload's instances, then
     prints CLOCK_MONOTONIC, which is shared by all processes of the machine.
     """
     times = []
+    k = kernel_s()
     for _ in range(PROBES_PER_GAP):
         t0 = time.monotonic()
         proc = subprocess.run([sys.executable, str(HERE / "setup_probe.py"), *instances],
                               capture_output=True, text=True, timeout=120)
         if proc.returncode != 0:
             raise RuntimeError(f"setup probe failed: {proc.stderr.strip()[-500:]}")
-        times.append(float(proc.stdout.strip().splitlines()[-1]) - t0)
+        elapsed = float(proc.stdout.strip().splitlines()[-1]) - t0
+        k_after = kernel_s()
+        times.append(elapsed * KERNEL_REF_S / math.sqrt(k * k_after))
+        k = k_after
     return times
 
 
@@ -73,23 +115,30 @@ def peak_rss_mb() -> float:
 
 
 def run_ops(ops, tracer=None) -> dict:
-    """Time one pass over the round's operations: wall and CPU seconds from the
-    first operation's start to the last one's end, and each operation's output."""
-    results = []
+    """Time one pass over the round's operations: each operation's wall and CPU
+    seconds, the host kernel's time before and after it, and its output."""
+    results, op_wall, op_cpu = [], [], []
+    kernel = [kernel_s()]
     with tracer if tracer is not None else contextlib.nullcontext():
-        c0 = cpu_now()
-        t0 = time.perf_counter()
-        marks = [t0]
         for op in ops:
+            t0, c0 = time.perf_counter(), cpu_now()
             try:
                 results.append((True, op.run()))
             except Exception as exc:            # a failed operation; the run goes on
                 results.append((False, f"{type(exc).__name__}: {exc}"))
-            marks.append(time.perf_counter())
-        wall = marks[-1] - t0
-        cpu = cpu_now() - c0
-    return {"wall": wall, "cpu": cpu, "results": results,
-            "op_wall": [b - a for a, b in zip(marks, marks[1:])]}
+            op_wall.append(time.perf_counter() - t0)
+            op_cpu.append(cpu_now() - c0)
+            kernel.append(kernel_s())
+    scale = [KERNEL_REF_S / math.sqrt(a * b) for a, b in zip(kernel, kernel[1:])]
+    return {"wall": sum(op_wall), "results": results, "op_wall": op_wall, "kernel": kernel,
+            "op_wall_ref": [t * f for t, f in zip(op_wall, scale)],
+            "op_cpu_ref": [t * f for t, f in zip(op_cpu, scale)]}
+
+
+def round_time(rounds: list[dict], key: str) -> float:
+    """A round's time: the sum over its operations of each one's median over
+    the run's rounds, which all repeat the same operations on the same inputs."""
+    return sum(statistics.median(times) for times in zip(*(r[key] for r in rounds)))
 
 
 def check_results(ops, results, problems: list[str]) -> int:
@@ -201,7 +250,9 @@ def main(argv=None) -> int:
     rounds: list[dict] = []
     attempted = failed = 0
     measured = 0.0
-    while not rounds or measured < args.seconds:
+    # no round that would, at the mean round time so far, end past --seconds
+    while (len(rounds) < MIN_ROUNDS
+           or measured * (len(rounds) + 1) / len(rounds) <= args.seconds):
         ops = wl.round(len(rounds))
         tracer = Tracer() if args.trace else None
         rec = run_ops(ops, tracer)
@@ -212,10 +263,14 @@ def main(argv=None) -> int:
                 rec["units"][k] = rec["units"].get(k, 0) + v
         measured += rec["wall"]
         attempted += len(ops)
-        failed += check_results(ops, rec.pop("results"), problems)
+        results = rec.pop("results")
+        failed += check_results(ops, results, problems)
+        problems.extend(wl.check_round(ops, results))
         rounds.append(rec)
         setups += setup_times(wl_class.instances)
-        print(f"# round {len(rounds)}: {rec['wall']:.3f} s wall, {rec['cpu']:.3f} s cpu; "
+        print(f"# round {len(rounds)}: {rec['wall']:.3f} s wall, "
+              f"{sum(rec['op_wall_ref']):.3f} s at reference speed, "
+              f"kernel {1e3 * statistics.median(rec['kernel']):.3f} ms; "
               f"operations {' '.join(f'{t:.3f}' for t in rec['op_wall'])} s", file=sys.stderr)
 
     if args.trace:
@@ -231,8 +286,8 @@ def main(argv=None) -> int:
                     rounds)
     else:
         values = {
-            "wall_s": statistics.median(r["wall"] for r in rounds),
-            "cpu_s": statistics.median(r["cpu"] for r in rounds),
+            "wall_s": round_time(rounds, "op_wall_ref"),
+            "cpu_s": round_time(rounds, "op_cpu_ref"),
             "setup_s": statistics.median(setups),
             "peak_rss_mb": peak_rss_mb(),
         }

@@ -1,10 +1,12 @@
 """The workloads: their inputs, the operations of one round, and checks.
 
-A round is a fixed list of operations.  ``Op.run`` is the timed call into the
+A round is a fixed list of operations, and every round of a run repeats the
+same operations on the same inputs.  ``Op.run`` is the timed call into the
 program; ``Op.check`` runs afterwards, outside the timed span, and returns
 ``(failed, problems)``: ``failed`` marks an operation that produced no usable
 result (exception, non-zero exit, a bound that reads 0), ``problems`` lists
 disagreements with the reference values of an operation that did produce one.
+``Workload.check_round`` then checks properties that span several operations.
 """
 
 from __future__ import annotations
@@ -105,6 +107,10 @@ class Workload:
     def round(self, r: int) -> list[Op]:
         raise NotImplementedError
 
+    def check_round(self, ops: list[Op], results: list[tuple[bool, Any]]) -> list[str]:
+        """Checks across the operations of one round, after the per-operation ones."""
+        return []
+
     def log_inner_fn(self, name: str, n: int, ensemble: str) -> Callable[[float], float]:
         """rho -> log E[T^(1/rho)] from reference.py; ``fig1_tails`` covers fig1 n."""
         if ensemble == "brute":
@@ -127,8 +133,10 @@ class ExponentGrid(Workload):
     round evaluates every fifth rate of it, 0.024, 0.144, ..., 0.504 bits, on
     both instances: one rate with an interior rho* (rho* is interior at the
     three lowest rates of the grid) and four with rho* = 1.  The full grid
-    takes about 54 s on the reference machine, too long for a round.  The
-    seed scales the rates by a factor within 0.2% of 1.
+    takes about 54 s on the reference machine, too long for a round.  Each
+    rate is its own CLI call, about 1 s, so that a run times every call
+    several times; one call over the five rates costs about the same as the
+    five calls.  The seed scales the rates by a factor within 0.2% of 1.
     """
 
     name = "exponent-grid"
@@ -144,16 +152,15 @@ class ExponentGrid(Workload):
         self.eex_ref: dict[tuple[str, float], float] = {}
 
     def round(self, r: int) -> list[Op]:
-        start = self.STEP_BITS * self.scale
         step = 5 * self.STEP_BITS * self.scale
-        grid = f"{start!r}:{start + 4 * step!r}:{step!r}"
-        want = [start + i * step for i in range(5)]
-        return [Op(f"exponent {name}",
-                   lambda name=name: run_cli(["exponent", "--preset", name, "--grid", grid,
-                                              "--unit", "bits"]),
-                   lambda out, name=name: self.check(name, want, out),
-                   {"rates": 5})
-                for name in self.instances]
+        rates = [self.STEP_BITS * self.scale + i * step for i in range(5)]
+        return [Op(f"exponent {name} R={rate:.4g}",
+                   lambda name=name, rate=rate: run_cli(
+                       ["exponent", "--preset", name, "--grid", f"{rate!r}:{rate!r}:{step!r}",
+                        "--unit", "bits"]),
+                   lambda out, name=name, rate=rate: self.check(name, rate, out),
+                   {"rates": 1})
+                for name in self.instances for rate in rates]
 
     def reference_eex(self, name: str, rate_bits: float) -> float:
         key = (name, rate_bits)
@@ -163,34 +170,43 @@ class ExponentGrid(Workload):
             self.eex_ref[key] = self.gallager[name].eex(rate_bits * LN2) / LN2
         return self.eex_ref[key]
 
-    def check(self, name: str, want: list[float], out) -> tuple[bool, list[str]]:
+    def check(self, name: str, rate: float, out) -> tuple[bool, list[str]]:
+        """One rate's row: the gap certificate, cc >= iid and the Gallager reference."""
         code, text, _ = out
         if code != 0:
             return True, []
         cols = parse_csv(text)
-        rates = np.array(cols["rate"])
-        if len(rates) != len(want) or not np.allclose(rates, want, rtol=1e-9, atol=0):
-            return False, [f"{name}: rates {rates.tolist()} differ from the requested grid"]
-        iid = np.array(cols["eex_iid"])
-        ccd = np.array(cols["eex_cc_dual"])
-        ccp = np.array(cols["eex_cc_primal"])
-        gap = np.array(cols["gap"])
+        if len(cols["rate"]) != 1 or not math.isclose(cols["rate"][0], rate, rel_tol=1e-9):
+            return False, [f"{name}: rates {cols['rate']} differ from the requested {rate!r}"]
+        iid, ccd, ccp, gap = (cols[c][0] for c in
+                              ("eex_iid", "eex_cc_dual", "eex_cc_primal", "gap"))
+        where = f"{name} R={rate:.6g} bits"
         problems = []
-        if not np.all(gap < self.GAP_LIMIT):
-            problems.append(f"{name}: primal/dual gap {gap.max():.3g} >= {self.GAP_LIMIT}")
-        if np.any(ccd < iid - self.TOL) or np.any(ccp < iid - self.TOL):
-            problems.append(f"{name}: a constant-composition exponent is below eex_iid")
-        for label, v in (("eex_iid", iid), ("eex_cc_dual", ccd), ("eex_cc_primal", ccp)):
-            if np.any(np.diff(v) > self.TOL):
-                problems.append(f"{name}: {label} increases with the rate")
-            if np.any(v[:-2] - 2 * v[1:-1] + v[2:] < -100 * self.TOL):
-                problems.append(f"{name}: {label} is not convex in the rate")
-        for rate, got in zip(rates, iid):
-            exp_ref = self.reference_eex(name, rate)
-            if abs(got - exp_ref) > 1e-6:
-                problems.append(f"{name}: eex_iid({rate:.6g} bits) = {got:.12g}, "
-                                f"Gallager grid maximum {exp_ref:.12g}")
+        if not gap < self.GAP_LIMIT:
+            problems.append(f"{where}: primal/dual gap {gap:.3g} >= {self.GAP_LIMIT}")
+        if ccd < iid - self.TOL or ccp < iid - self.TOL:
+            problems.append(f"{where}: a constant-composition exponent is below eex_iid")
+        exp_ref = self.reference_eex(name, rate)
+        if abs(iid - exp_ref) > 1e-6:
+            problems.append(f"{where}: eex_iid = {iid:.12g}, Gallager grid maximum {exp_ref:.12g}")
         return False, problems
+
+    def check_round(self, ops: list[Op], results: list[tuple[bool, Any]]) -> list[str]:
+        """Each instance's curves, over the round's rates, are nonincreasing and convex."""
+        problems = []
+        per_rate = len(ops) // len(self.instances)
+        for i, name in enumerate(self.instances):
+            outs = results[i * per_rate:(i + 1) * per_rate]
+            if not all(ok and out[0] == 0 for ok, out in outs):
+                continue                         # a failed rate is counted on its own
+            rows = [parse_csv(out[1]) for _, out in outs]
+            for label in ("eex_iid", "eex_cc_dual", "eex_cc_primal"):
+                v = np.array([row[label][0] for row in rows])
+                if np.any(np.diff(v) > self.TOL):
+                    problems.append(f"{name}: {label} increases with the rate")
+                if np.any(v[:-2] - 2 * v[1:-1] + v[2:] < -100 * self.TOL):
+                    problems.append(f"{name}: {label} is not convex in the rate")
+        return problems
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +320,9 @@ class MonteCarlo(Workload):
 
     mc_rcux: BSC(0.1) and fig1-mismatched, iid and cc, n = 20 and 80, 2000
     samples each at rho = 2 and M = exp(0.05 n).  expurgate_simulate: BSC,
-    iid, n = 24, M = 8, 5000 trials per message.  Every operation of every
-    round draws a fresh seed from the run's seed.
+    iid, n = 24, M = 8, 5000 trials per message.  Each operation draws its
+    own seed from the run's seed, and every round of the run reuses it, so
+    that rounds repeat the same work.
 
     The MC check uses the exact standard deviation of T^(1/rho), from
     E[T^(2/rho)] (the inner sum at rho/2), not the sample's: at n = 80 a
@@ -326,13 +343,13 @@ class MonteCarlo(Workload):
                       for name in self.instances for kind in ("iid", "cc")}
         self.fig1_tails = ref.RowClassTails("fig1-mismatched", max(self.MC_N))
         self.moments: dict[tuple, tuple[float, float]] = {}
-        self.seeds = np.random.SeedSequence(seed)
+        self.seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(9)]
         n, m, _ = self.SIM
         self.sim_bound = math.exp(ref.min_over_rho(self.log_inner_fn("bsc", n, "iid"),
                                                    math.log(m))[0])
 
     def round(self, r: int) -> list[Op]:
-        seeds = iter(int(s) for s in self.seeds.spawn(1)[0].generate_state(9))
+        seeds = iter(self.seeds)
         ops = [self._mc_op(name, kind, n, next(seeds))
                for name in self.instances for kind in ("iid", "cc") for n in self.MC_N]
         ops.append(self._sim_op(next(seeds)))
