@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, TypeVar
 
 _INVGOLD = (math.sqrt(5.0) - 1.0) / 2.0
+
+T = TypeVar("T")
 
 
 def golden_max(f: Callable[[float], float], lo: float, hi: float,
@@ -52,3 +54,26 @@ def grid_then_golden(f: Callable[[float], float], lo: float, hi: float,
     if vmax > f_star:
         x_star, f_star = xs[k], vmax
     return x_star, f_star, ties
+
+
+def bisect(f: Callable[[float], T], lo: float, hi: float,
+           residual: Callable[[T], float] = lambda v: v,
+           ftol: float = 0.0, max_iter: int = 100) -> tuple[float, float, T | None]:
+    """Monotone bisection on [lo, hi] for a residual that falls as x rises.
+
+    Evaluates f at the midpoint max_iter times: a positive residual moves lo
+    up to the midpoint, any other moves hi down; stops early once
+    |residual| < ftol.  Returns (lo, hi, f at the last midpoint).
+    """
+    value = None
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        value = f(mid)
+        r = residual(value)
+        if abs(r) < ftol:
+            break
+        if r > 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, value

@@ -13,8 +13,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-
 
 from . import __version__, dual, finite, primal
 from .config import RunConfig, load_instance, parse_grid, to_unit
@@ -45,7 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output path (default stdout)")
         sp.add_argument("--unit", choices=("nats", "bits"), default="nats")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=1)
 
     sp = sub.add_parser("exponent", help="exponent curves over a rate grid")
     common(sp)
@@ -72,8 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_config(args) -> RunConfig:
     inst = load_instance(args.config, args.preset)
-    rc = RunConfig(instance=inst, unit=args.unit, seed=args.seed,
-                   threads=max(args.threads, 1), out=args.out)
+    rc = RunConfig(instance=inst, unit=args.unit, seed=args.seed, out=args.out)
     if getattr(args, "grid", None):
         rc.grid = parse_grid(args.grid, args.unit)
     if getattr(args, "n", None):
@@ -114,11 +110,18 @@ def _fmt(v: float | None) -> str:
     return f"{v:.12g}"
 
 
-def _map(rc: RunConfig, fn, items):
-    if rc.threads > 1:
-        with ThreadPoolExecutor(max_workers=rc.threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
+def _fmt_exp(lv: float | None) -> str:
+    """exp(lv) as _fmt prints it, or built from log10 where exp(lv) is not a normal double."""
+    if lv is None or not math.isfinite(lv):
+        return _fmt(None if lv is None else math.exp(lv))
+    if lv <= math.log(sys.float_info.max) and math.exp(lv) >= sys.float_info.min:
+        return _fmt(math.exp(lv))
+    e10 = lv / math.log(10.0)
+    exp10 = math.floor(e10)
+    mant = f"{10.0 ** (e10 - exp10):.12g}"
+    if mant == "10":                     # the mantissa rounded up to the next decade
+        mant, exp10 = "1", exp10 + 1
+    return f"{mant}e{exp10:+03d}"
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +131,11 @@ def _map(rc: RunConfig, fn, items):
 def cmd_exponent(rc: RunConfig) -> int:
     ch, q, qin = rc.instance.triple()
     aux = rc.instance.ensemble.aux
-    rates = rc.grid.values()
     cache: dict = {}
-
-    def one(rate_nats: float):
+    rows = []
+    for rate_nats in rc.grid.values():
         iid = dual.eex_iid(ch, q, qin, rate_nats)
-        cc_dual = dual.eex_generic(
-            lambda rho: dual.ex_cc_dual(ch, q, qin, rho).value, rate_nats)
-        inner = dual.ex_cc_dual(ch, q, qin, cc_dual.argmax.rho)
+        cc_dual = dual.eex_cc_dual(ch, q, qin, rate_nats)
         cc_primal = primal.eex_cc_primal(ch, q, qin, rate_nats, _cache=cache)
         if aux is not None:
             cost = dual.eex_generic(
@@ -144,20 +144,18 @@ def cmd_exponent(rc: RunConfig) -> int:
         else:
             cost_v = iid.value      # no auxiliary costs configured: empty-set reduction
         gap = abs(cc_dual.value - cc_primal.value)
-        return [
+        rows.append([
             _fmt(to_unit(rate_nats, rc.unit)),
             _fmt(to_unit(iid.value, rc.unit)),
             _fmt(to_unit(cc_dual.value, rc.unit)),
             _fmt(to_unit(cc_primal.value, rc.unit)),
             _fmt(to_unit(cost_v, rc.unit)),
             _fmt(cc_dual.argmax.rho),
-            _fmt(inner.argmax.s),
+            _fmt(cc_dual.argmax.s),
             _fmt(to_unit(iid.raw, rc.unit)),
             _fmt(to_unit(cc_dual.raw, rc.unit)),
             _fmt(gap),
-        ]
-
-    rows = _map(rc, one, rates)
+        ])
     _emit(rc, "exponent",
           ["rate", "eex_iid", "eex_cc_dual", "eex_cc_primal", "eex_cost",
            "rho_star", "s_star", "eex_iid_raw", "eex_cc_raw", "gap"],
@@ -167,21 +165,18 @@ def cmd_exponent(rc: RunConfig) -> int:
 
 def cmd_duality(rc: RunConfig) -> int:
     ch, q, qin = rc.instance.triple()
-    rates = rc.grid.values()
-
-    def one(rate_nats: float):
+    gaps, rows = [], []
+    for rate_nats in rc.grid.values():
         rep = primal.duality_gap(ch, q, qin, rate_nats)
-        return rep.gap, [
+        gaps.append(rep.gap)
+        rows.append([
             _fmt(to_unit(rate_nats, rc.unit)),
             _fmt(to_unit(rep.primal_value, rc.unit)),
             _fmt(to_unit(rep.dual_value, rc.unit)),
             _fmt(rep.gap),
-        ]
-
-    results = _map(rc, one, rates)
-    max_gap = max(g for g, _ in results)
-    _emit(rc, "duality", ["rate", "primal", "dual", "gap"],
-          [row for _, row in results],
+        ])
+    max_gap = max(gaps)
+    _emit(rc, "duality", ["rate", "primal", "dual", "gap"], rows,
           notes=[f"max_gap={_fmt(max_gap)} limit={GAP_LIMIT:g}"])
     return EXIT_OK if max_gap <= GAP_LIMIT else EXIT_INVARIANT
 
@@ -211,19 +206,18 @@ def cmd_finite(rc: RunConfig) -> int:
             log_prod, _, s = finite.optimize_rcux_product(ch, q, qin, n, M)
         mc = ci_lo = ci_hi = None
         if rc.samples > 0:
-            est = finite.mc_rcux(ch, q, spec, n, M, rho, rc.samples, rc.seed,
-                                 shards=rc.threads)
+            est = finite.mc_rcux(ch, q, spec, n, M, rho, rc.samples, rc.seed)
             mc, ci_lo, ci_hi = est.value, est.ci_lo, est.ci_hi
-        refined = None
+        log_refined = None
         if refusal is None:
             rate = rc.rate if rc.rate is not None else math.log(M) / n
             try:
-                refined = finite.refined_bound(ch, q, qin, rho, s, rate, n)
+                log_refined = finite.log_refined_bound(ch, q, qin, rho, s, rate, n)
             except GateRefusalError as exc:
                 refusal = str(exc)
                 status = EXIT_REFUSAL
-        rows.append([_fmt(float(n)), _fmt(math.exp(log_exact)), _fmt(math.exp(log_prod)),
-                     _fmt(mc), _fmt(ci_lo), _fmt(ci_hi), _fmt(refined)])
+        rows.append([_fmt(float(n)), _fmt_exp(log_exact), _fmt_exp(log_prod),
+                     _fmt(mc), _fmt(ci_lo), _fmt(ci_hi), _fmt_exp(log_refined)])
 
     notes = [f"refined_bound refused: {refusal}"] if refusal else []
     _emit(rc, "finite",
@@ -274,6 +268,9 @@ def main(argv=None) -> int:
         return EXIT_REFUSAL
     except Error as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except Exception as exc:          # an unanticipated failure is still an invariant violation
+        print(f"invariant violation: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 
 

@@ -184,7 +184,6 @@ class RunConfig:
     grid: RateGrid | None = None
     unit: str = "nats"
     seed: int = 0
-    threads: int = 1
     out: str | None = None
     n_list: list[int] = field(default_factory=list)
     M: float | None = None

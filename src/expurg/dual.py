@@ -3,10 +3,10 @@
 Three families are covered: the plain product-ensemble exponent, the
 constant-composition exponent with an optimized per-symbol tilt a(.), and the
 cost-shell exponent with explicit tilt weights (r_l, rbar_l).  The tilt a(.)
-is optimized by a fixed point that enforces the Jensen-equality condition; it
-is the same fixed point as entropic marginal scaling, but parameterized by a
-single potential vector and iterated in its own right so that the primal
-module remains an independent route to the same values.
+is optimized by the fixed point that enforces the Jensen-equality condition:
+entropic marginal scaling, solved by the kernel in ``_numerics`` that the
+primal module shares.  Above that kernel the routes differ (sup over s and rho
+here, a min over pair couplings there), so their gap certifies both.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numerics import LINEAR_DOMAIN_SPAN, log_kernel_span, lse as logsumexp
-from ._search import golden_max
+from ._numerics import lse as logsumexp, scale_marginals
+from ._search import golden_max, grid_then_golden
 from .errors import Error, ZeroErrorRegimeError
 from .model import (
     AuxiliaryCostSet,
@@ -33,7 +33,7 @@ RHO_MAX = 1000.0
 S_HI = 10.0
 S_HI_WIDE = 100.0
 BOUNDARY_FRACTION = 0.99
-A_TOL = 1e-10
+A_TOL = 1e-10          # on the span of one sweep's change in the tilt a = rho * log psi
 A_MAX_ITER = 10_000
 
 
@@ -118,7 +118,7 @@ def eex_generic(e0, rate: float, rho_range: tuple[float, float] = (1.0, RHO_MAX)
     """sup over rho of e0(rho) - rho*rate for a concave e0, with a grid fallback.
 
     Concavity is spot-checked on sampled midpoints; when the check fails the
-    supremum is taken over a dense geometric grid (with local refinement) and
+    supremum is taken over a dense grid in log rho (with local refinement) and
     a warning is emitted.
     """
     lo, hi = rho_range
@@ -139,14 +139,9 @@ def eex_generic(e0, rate: float, rho_range: tuple[float, float] = (1.0, RHO_MAX)
         rho_star, best = golden_max(g, lo, hi)
     else:
         warnings.warn("concavity spot check failed; falling back to a dense rho grid")
-        grid = np.geomspace(lo, hi, 200)
-        vals = [g(r) for r in grid]
-        k = int(np.argmax(vals))
-        a = grid[max(k - 1, 0)]
-        b = grid[min(k + 1, len(grid) - 1)]
-        rho_star, best = golden_max(g, a, b)
-        if vals[k] > best:
-            rho_star, best = grid[k], vals[k]
+        t_star, best, _ = grid_then_golden(lambda t: g(math.exp(t)),
+                                           math.log(lo), math.log(hi), points=200)
+        rho_star = math.exp(t_star)
 
     return ExponentResult(
         value=max(best, 0.0),
@@ -158,77 +153,16 @@ def eex_generic(e0, rate: float, rho_range: tuple[float, float] = (1.0, RHO_MAX)
 
 
 # ---------------------------------------------------------------------------
-# constant-composition exponent: Jensen-equalizing tilt fixed point
+# constant-composition exponent: Jensen-equalizing tilt
 # ---------------------------------------------------------------------------
-
-def _tilt_fixed_point(log_kernel: np.ndarray, lq: np.ndarray, rho: float,
-                      la0: np.ndarray | None = None,
-                      tol: float = A_TOL, max_iter: int = A_MAX_ITER):
-    """Solve for the tilt making the inner bracket constant over x.
-
-    ``log_kernel[x, xbar]`` is log of B_s(x,xbar)^(1/rho); the update enforces
-    the stationarity condition psi(z) * sum_x Q(x) K(x,z) / S(x) = 1 with
-    S(x) = sum_z Q(z) K(x,z) psi(z).  Runs multiplicatively with per-sweep
-    renormalization when the kernel's dynamic range allows, in log domain
-    otherwise.  Returns the log potential la = a / rho, the per-x log inner
-    sums, iteration count and a convergence flag.
-    """
-    la = np.zeros(log_kernel.shape[0]) if la0 is None else la0.copy()
-    if log_kernel_span(log_kernel) < LINEAR_DOMAIN_SPAN:
-        out = _tilt_linear(log_kernel, lq, rho, la, tol, max_iter)
-        if out is not None:
-            return out
-    converged = False
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        ls = logsumexp(log_kernel + (lq + la)[None, :], axis=1)
-        new_la = -logsumexp(log_kernel + (lq - ls)[:, None], axis=0)
-        delta = rho * float(np.max(np.abs(new_la - la)))
-        la = new_la
-        if delta < tol:
-            converged = True
-            break
-    ls = logsumexp(log_kernel + (lq + la)[None, :], axis=1)
-    return la, ls, iters, converged
-
-
-def _tilt_linear(log_kernel: np.ndarray, lq: np.ndarray, rho: float,
-                 la: np.ndarray, tol: float, max_iter: int):
-    """Multiplicative variant of the tilt fixed point; None on numeric trouble."""
-    shift = np.max(log_kernel[np.isfinite(log_kernel)])
-    with np.errstate(over="ignore"):
-        kq = np.exp(log_kernel - shift) * np.exp(lq)[None, :]     # Q(z) K(x,z), rescaled
-        kxq = np.exp(log_kernel - shift) * np.exp(lq)[:, None]    # Q(x) K(x,z), rescaled
-        psi = np.exp(la)
-    converged = False
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        s = kq @ psi
-        if not np.all(s > 0) or not np.all(np.isfinite(s)):
-            return None
-        t = (1.0 / s) @ kxq
-        new_psi = 1.0 / t
-        new_psi /= new_psi.max()
-        with np.errstate(divide="ignore"):
-            dd = np.log(new_psi) - np.log(psi)
-        psi = new_psi
-        if rho * float(dd.max() - dd.min()) < tol:
-            converged = True
-            break
-    s = kq @ psi
-    if not np.all(s > 0) or not np.all(np.isfinite(s)):
-        return None
-    la = np.log(psi)
-    ls = np.log(s) + shift
-    return la, ls, iters, converged
-
 
 def ex_cc_dual(channel: ChannelModel, metric: DecodingMetric, q_in: InputDistribution,
                rho: float, s_hi: float = S_HI) -> ExponentResult:
     """sup over s >= 0 and tilts a(.) of the averaged-log dual objective.
 
-    The optimal a is the one achieving Jensen equality; it is found by the
-    closed-form fixed point above, then normalized to zero Q-mean.
+    The optimal a achieves Jensen equality: psi = exp(a/rho) is the marginal
+    scaling fixed point for the kernel B_s^(1/rho); a is then normalized to
+    zero Q-mean.
     """
     if rho < 1:
         raise Error("rho must be at least 1")
@@ -243,7 +177,7 @@ def ex_cc_dual(channel: ChannelModel, metric: DecodingMetric, q_in: InputDistrib
         b = kern.overlap(s)[np.ix_(sup, sup)]
         with np.errstate(divide="ignore"):
             log_kernel = np.log(b) / rho
-        la, ls, iters, conv = _tilt_fixed_point(log_kernel, lq, rho, state["la"])
+        la, ls, iters, conv = scale_marginals(log_kernel, lq, state["la"], A_TOL / rho, A_MAX_ITER)
         state["la"] = la
         value = -rho * float(np.exp(lq) @ (ls - la))
         if state["best"] is None or value > state["best"][0]:
@@ -420,7 +354,6 @@ def rate_zero_limit(channel: ChannelModel, metric: DecodingMetric,
 
     def g(s: float) -> float:
         d = kern.distances(s)
-        np.fill_diagonal(d, 0.0)
         return float(np.sum(qq * d, where=qq > 0))
 
     s_star, value = _sup_s(g)

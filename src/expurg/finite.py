@@ -27,7 +27,6 @@ from .model import (
     tilted_pair,
 )
 from .type_enum import (
-    LATTICE_RTOL,
     _lattice_fit,
     log_rcux_iid_exact,
     pair_counts,
@@ -123,36 +122,31 @@ class MCEstimate:
 
 
 def mc_rcux(channel: ChannelModel, metric: DecodingMetric, ensemble: EnsembleSpec,
-            n: int, M: float, rho: float, samples: int, seed: int,
-            shards: int = 1) -> MCEstimate:
+            n: int, M: float, rho: float, samples: int, seed: int) -> MCEstimate:
     """Monte Carlo over codeword pairs with exact inner tails.
 
     Only the pair draw is sampled; each pairwise tail is computed exactly, so
     the estimator is unbiased for the inner expectation and the normal 95%
     interval on the mean transfers to the assembled bound monotonically.
-    Sharding derives independent substreams from the master seed and reduces
-    in shard order, so results are bit-identical for a given (seed, shards).
+    The draws come from one substream derived from the seed, so results are
+    bit-identical for a given seed.
     """
     if samples <= 0:
         raise Error("empty sample")
     calc = PairwiseTailCalculator(channel, metric)
     if not calc.lattice and channel.output_size ** n > 10 ** 7:
         raise Error("exact pairwise tails unavailable at this blocklength")
-    streams = np.random.SeedSequence(seed).spawn(shards)
-    per = [samples // shards] * shards
-    per[0] += samples - sum(per)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    xs = ensemble.sample_words(n, samples, rng, channel)
+    xbs = ensemble.sample_words(n, samples, rng, channel)
     inner: list[float] = []
     tail_cache: dict[bytes, float] = {}     # tails depend on the pair only through its joint type
-    for count, ss in zip(per, streams):
-        rng = np.random.default_rng(ss)
-        xs = ensemble.sample_words(n, count, rng, channel)
-        xbs = ensemble.sample_words(n, count, rng, channel)
-        for i in range(count):
-            counts = pair_counts(xs[i], xbs[i], channel.input_size)
-            key = counts.tobytes()
-            if key not in tail_cache:
-                tail_cache[key] = calc.log_tail(counts)
-            inner.append(math.exp(tail_cache[key] / rho))
+    for i in range(samples):
+        counts = pair_counts(xs[i], xbs[i], channel.input_size)
+        key = counts.tobytes()
+        if key not in tail_cache:
+            tail_cache[key] = calc.log_tail(counts)
+        inner.append(math.exp(tail_cache[key] / rho))
     mean = math.fsum(inner) / samples
     var = math.fsum((v - mean) ** 2 for v in inner) / max(samples - 1, 1)
     half = 1.96 * math.sqrt(var / samples)
@@ -306,14 +300,7 @@ def lattice_span(values: list[float]) -> float | None:
     if len(vals) < 2:
         return None
     diffs = [b - a for i, a in enumerate(vals) for b in vals[i + 1:]]
-    span, _ = _lattice_fit(diffs)
-    if span is None:
-        return None
-    scale = max(abs(v) for v in diffs)
-    for d in diffs:
-        if abs(d - round(d / span) * span) > LATTICE_RTOL * scale:
-            return None
-    return span
+    return _lattice_fit(diffs)[0]
 
 
 def log_refined_bound(channel: ChannelModel, metric: DecodingMetric, q_in: InputDistribution,

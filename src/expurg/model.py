@@ -180,8 +180,8 @@ class PairKernel:
         wpos = w > 0
         qx = q[:, None, :]          # q(x, y)
         qb = q[None, :, :]          # q(xbar, y)
-        singular = wpos[:, None, :] & (qx == 0) & (qb > 0)
-        self._singular_pairs = np.argwhere(singular.any(axis=2))
+        self._singular = (wpos[:, None, :] & (qx == 0) & (qb > 0)).any(axis=2)
+        self._singular_pairs = np.argwhere(self._singular)
         with np.errstate(divide="ignore", invalid="ignore"):
             lr = np.log(qb) - np.log(qx)
         lr = np.where((qx == 0) & (qb == 0), 0.0, lr)   # 0/0 tie counts as ratio 1
@@ -194,6 +194,19 @@ class PairKernel:
             x, xb = self._singular_pairs[0]
             raise MetricSingularError(f"metric singular at ({x},{xb})")
 
+    def pair_terms(self, s: float, x: int, xbar: int) -> np.ndarray:
+        """Per-output terms W(y|x) (q(xbar,y)/q(x,y))^s of one pair's overlap.
+
+        At s = 0 this is W(.|x) with no singularity check; otherwise only the
+        pair asked about may raise MetricSingularError.
+        """
+        if s == 0.0:
+            return self._wmask[x].copy()
+        if self._singular[x, xbar]:
+            raise MetricSingularError(f"metric singular at ({x},{xbar})")
+        with np.errstate(over="ignore"):
+            return self._wmask[x] * np.exp(s * self._logratio[x, xbar])
+
     def overlap(self, s: float) -> np.ndarray:
         self.require_nonsingular()
         if s == 0.0:
@@ -203,8 +216,11 @@ class PairKernel:
         return np.einsum("xby,xy->xb", terms, self._wmask)
 
     def distances(self, s: float) -> np.ndarray:
+        """-log overlap(s), with the diagonal set to exactly zero."""
         with np.errstate(divide="ignore"):
-            return -np.log(self.overlap(s))
+            d = -np.log(self.overlap(s))
+        np.fill_diagonal(d, 0.0)
+        return d
 
 
 def check_dimensions(channel: ChannelModel, metric: DecodingMetric,
@@ -261,21 +277,10 @@ def chernoff_distance(channel: ChannelModel, metric: DecodingMetric, s: float,
     """-log sum_y W(y|x) (q(xbar,y)/q(x,y))^s; +inf when no output is reachable."""
     if s < 0:
         raise Error("s must be non-negative")
-    check_dimensions(channel, metric)
+    kern = PairKernel(channel, metric)
     if s == 0.0:
         return 0.0
-    w, q = channel.w[x], metric.q
-    total = 0.0
-    for y in range(channel.output_size):
-        if w[y] <= 0:
-            continue
-        qx, qb = q[x, y], q[xbar, y]
-        if qx == 0.0:
-            if qb > 0.0:
-                raise MetricSingularError(f"metric singular at ({x},{xbar})")
-            total += w[y]            # 0/0 tie: ratio 1
-        else:
-            total += w[y] * (qb / qx) ** s
+    total = float(kern.pair_terms(s, x, xbar).sum())
     if total == 0.0:
         return math.inf
     return -math.log(total)
@@ -285,34 +290,13 @@ def distance_matrix(channel: ChannelModel, metric: DecodingMetric, s: float) -> 
     """Elementwise chernoff_distance; the diagonal is identically zero."""
     if s < 0:
         raise Error("s must be non-negative")
-    kern = PairKernel(channel, metric)
-    if len(kern._singular_pairs):
-        x, xb = kern._singular_pairs[0]
-        raise MetricSingularError(f"metric singular at ({x},{xb})")
-    d = kern.distances(s)
-    np.fill_diagonal(d, 0.0)
-    return d
+    return PairKernel(channel, metric).distances(s)
 
 
 def tilted_conditional(channel: ChannelModel, metric: DecodingMetric, s: float,
                        x: int, xbar: int) -> np.ndarray:
     """Output law W(.|x) reweighted by the metric ratio to the power s, renormalized."""
-    check_dimensions(channel, metric)
-    w, q = channel.w[x], metric.q
-    v = np.zeros(channel.output_size)
-    for y in range(channel.output_size):
-        if w[y] <= 0:
-            continue
-        qx, qb = q[x, y], q[xbar, y]
-        if s == 0.0:
-            v[y] = w[y]
-            continue
-        if qx == 0.0:
-            if qb > 0.0:
-                raise MetricSingularError(f"metric singular at ({x},{xbar})")
-            v[y] = w[y]
-        else:
-            v[y] = w[y] * (qb / qx) ** s
+    v = PairKernel(channel, metric).pair_terms(s, x, xbar)
     z = v.sum()
     if not (z > 0) or not math.isfinite(z):
         raise TiltingUndefinedError(f"tilting undefined at ({x},{xbar})")

@@ -1,10 +1,11 @@
 """Primal (Csiszar-Korner form) expurgated exponents via entropic transport.
 
 The workhorse minimizes ``E_P[d] + rho * I_P(X;Xbar)`` over pair distributions
-with both marginals pinned to Q.  The optimizer is an alternating potential
-update in log domain; each update solves one block of the concave dual
-exactly, so the recorded merit (the negated dual) decreases monotonically and
-the final coupling is certified by the primal-dual gap.  Inputs with Q(x) = 0
+with both marginals pinned to Q.  Its potentials come from the marginal-scaling
+kernel in ``_numerics`` that the dual module shares; each sweep solves one
+block of the concave dual exactly, so the recorded merit (the negated dual)
+decreases monotonically.  The coupling is built here and certified by its own
+primal-dual gap, which thereby checks the shared kernel.  Inputs with Q(x) = 0
 are deleted before solving and restored as zero rows/columns afterwards.
 """
 
@@ -15,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numerics import LINEAR_DOMAIN_SPAN, log_kernel_span, lse as logsumexp
-from ._search import grid_then_golden
-from .dual import DualParams, ExponentResult, eex_generic, ex_cc_dual, S_HI
+from ._numerics import lse as logsumexp, scale_marginals
+from ._search import bisect, grid_then_golden
+from .dual import DualParams, ExponentResult, eex_cc_dual, S_HI
 from .errors import Error, InfeasibleError
 from .model import (
     ChannelModel,
@@ -25,6 +26,7 @@ from .model import (
     InputDistribution,
     PairKernel,
     check_dimensions,
+    distance_matrix,
 )
 
 MARGINAL_ATOL = 1e-8
@@ -65,38 +67,6 @@ class PrimalSolution:
         return a - float(q_in.q_vec @ a)
 
 
-def _scaling_linear(lk: np.ndarray, lq: np.ndarray, rho: float, beta: np.ndarray,
-                    tol: float, max_iter: int):
-    """Multiplicative marginal scaling; None when the kernel under/overflows."""
-    shift = np.max(lk[np.isfinite(lk)])
-    with np.errstate(over="ignore"):
-        kern = np.exp(lk - shift)
-        qv = np.exp(lq)
-        v = np.exp(beta)
-    trace: list[float] = []
-    converged = False
-    iters = 0
-    log_shift = float(shift)
-    for iters in range(1, max_iter + 1):
-        row = kern @ v
-        if not np.all(row > 0) or not np.all(np.isfinite(row)):
-            return None
-        u = qv / row
-        col = u @ kern
-        if not np.all(col > 0) or not np.all(np.isfinite(col)):
-            return None
-        new_v = qv / col
-        with np.errstate(divide="ignore"):
-            delta = float(np.max(np.abs(np.log(new_v) - np.log(v))))
-        v = new_v
-        trace.append(-rho * float(qv @ (np.log(u) + np.log(v) - log_shift)))
-        if delta < tol:
-            converged = True
-            break
-    alpha = np.log(u) - log_shift
-    return alpha, np.log(v), trace, iters, converged
-
-
 def _mutual_info(p: np.ndarray) -> float:
     r = p.sum(axis=1)
     c = p.sum(axis=0)
@@ -122,32 +92,15 @@ def entropic_pair_min(d_matrix: np.ndarray, q_in: InputDistribution, rho: float,
     sup = np.flatnonzero(qv > 0)
     lq = np.log(qv[sup])
     d = d_matrix[np.ix_(sup, sup)]
-    lk = lq[:, None] + lq[None, :] - d / rho       # log base kernel
+    lk = -d / rho                                  # log base kernel
     if np.isneginf(lk).all(axis=1).any() or np.isneginf(lk).all(axis=0).any():
         raise InfeasibleError("transport kernel has an empty row or column on the support of Q")
 
-    alpha = np.zeros(len(sup))
-    beta = np.zeros(len(sup)) if beta0 is None else np.asarray(beta0, dtype=float).copy()
-    out = None
-    if log_kernel_span(lk) < LINEAR_DOMAIN_SPAN:
-        out = _scaling_linear(lk, lq, rho, beta, tol, max_iter)
-    if out is not None:
-        alpha, beta, trace, iters, converged = out
-    else:
-        trace = []
-        converged = False
-        iters = 0
-        for iters in range(1, max_iter + 1):
-            alpha = lq - logsumexp(lk + beta[None, :], axis=1)
-            new_beta = lq - logsumexp(lk + alpha[:, None], axis=0)
-            delta = float(np.max(np.abs(new_beta - beta)))
-            beta = new_beta
-            trace.append(-rho * float(np.exp(lq) @ (alpha + beta)))
-            if delta < tol:
-                converged = True
-                break
+    trace: list[float] = []
+    beta, ls, iters, converged = scale_marginals(lk, lq, beta0, tol, max_iter, trace)
+    alpha = -ls
 
-    logp = lk + alpha[:, None] + beta[None, :]
+    logp = lq[:, None] + lq[None, :] + lk + alpha[:, None] + beta[None, :]
     p_sub = np.exp(logp)
     p_sub /= p_sub.sum()
     k = len(qv)
@@ -173,7 +126,7 @@ def entropic_pair_min(d_matrix: np.ndarray, q_in: InputDistribution, rho: float,
         converged=converged and gap_ok,
         objective=objective,
         dual_value=dual_value,
-        merit_trace=np.asarray(trace),
+        merit_trace=rho * np.asarray(trace),
     )
 
 
@@ -182,27 +135,22 @@ def entropic_pair_min(d_matrix: np.ndarray, q_in: InputDistribution, rho: float,
 # ---------------------------------------------------------------------------
 
 def _solve_mi_equals(d_matrix: np.ndarray, q_in: InputDistribution, target: float,
-                     rho_lo: float, rho_hi: float,
-                     max_iter: int = 100) -> PrimalSolution:
+                     rho_lo: float, rho_hi: float) -> PrimalSolution:
     """Bisect the entropy weight until the coupling's mutual information hits target.
 
     Mutual information is nonincreasing in the weight, so bisection on log rho
     converges; the iterate potentials warm-start each solve.
     """
-    lo, hi = math.log(rho_lo), math.log(rho_hi)
     beta0 = None
-    sol = None
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        sol = entropic_pair_min(d_matrix, q_in, math.exp(mid), beta0=beta0)
+
+    def solve(log_rho: float) -> PrimalSolution:
+        nonlocal beta0
+        sol = entropic_pair_min(d_matrix, q_in, math.exp(log_rho), beta0=beta0)
         beta0 = sol.potentials[1][q_in.support]
-        if abs(sol.mutual_info - target) < MI_FTOL:
-            return sol
-        if sol.mutual_info > target:
-            lo = mid
-        else:
-            hi = mid
-    return sol
+        return sol
+
+    return bisect(solve, math.log(rho_lo), math.log(rho_hi),
+                  residual=lambda sol: sol.mutual_info - target, ftol=MI_FTOL)[2]
 
 
 def d_s_rate(channel: ChannelModel, metric: DecodingMetric, q_in: InputDistribution,
@@ -210,9 +158,7 @@ def d_s_rate(channel: ChannelModel, metric: DecodingMetric, q_in: InputDistribut
     """Least mean pair distance over both-marginals-Q couplings with I <= rate."""
     if rate < 0:
         raise Error("rate must be non-negative")
-    kern = PairKernel(channel, metric)
-    d = kern.distances(s)
-    np.fill_diagonal(d, 0.0)
+    d = distance_matrix(channel, metric, s)
     lo, hi = RHO_BRACKET
     loose = entropic_pair_min(d, q_in, lo)
     if loose.mutual_info <= rate:
@@ -229,9 +175,7 @@ def d_s_rate(channel: ChannelModel, metric: DecodingMetric, q_in: InputDistribut
 def r_s(channel: ChannelModel, metric: DecodingMetric, q_in: InputDistribution,
         s: float) -> float:
     """Largest rate at which the mutual-information constraint binds: I at the unit-weight coupling."""
-    kern = PairKernel(channel, metric)
-    d = kern.distances(s)
-    np.fill_diagonal(d, 0.0)
+    d = distance_matrix(channel, metric, s)
     return entropic_pair_min(d, q_in, 1.0).mutual_info
 
 
@@ -283,7 +227,6 @@ def eex_cc_primal(channel: ChannelModel, metric: DecodingMetric, q_in: InputDist
 
     def value_at(s: float) -> float:
         d = kern.distances(s)
-        np.fill_diagonal(d, 0.0)
         v, branch, sol, _ = _piecewise_value(d, q_in, rate, cache)
         details[s] = (branch, sol)
         return v
@@ -315,16 +258,12 @@ def duality_gap(channel: ChannelModel, metric: DecodingMetric, q_in: InputDistri
                 rate: float) -> DualityGapReport:
     """|primal - dual| for the constant-composition exponent at one rate.
 
-    The two sides are computed by genuinely different routes (bisection on the
-    entropy weight vs golden search over rho with the tilt fixed point), so a
-    small gap is a real consistency certificate.
+    The two sides are computed by genuinely different outer routes (bisection
+    on the entropy weight vs golden search over rho), so a small gap is a real
+    consistency certificate.
     """
     primal = eex_cc_primal(channel, metric, q_in, rate)
-
-    def e0(rho: float) -> float:
-        return ex_cc_dual(channel, metric, q_in, rho).value
-
-    dres = eex_generic(e0, rate)
+    dres = eex_cc_dual(channel, metric, q_in, rate)
     return DualityGapReport(
         gap=abs(primal.value - dres.value),
         primal_value=primal.value,
@@ -365,6 +304,21 @@ def _iid_family(d: np.ndarray, qv: np.ndarray, rho: float, pin_rows: bool):
     return div, mean_d
 
 
+def _iid_constrained(d: np.ndarray, qv: np.ndarray, rate: float, pin_rows: bool,
+                     rho_lo: float) -> tuple[float, float, bool]:
+    """(divergence, mean distance, binding) of the least-weight member with divergence <= rate.
+
+    Bisects on log rho over [rho_lo, RHO_BRACKET[1]]; the divergence falls as rho rises.
+    """
+    div, mean = _iid_family(d, qv, rho_lo, pin_rows)
+    if div <= rate:
+        return div, mean, False
+    div, mean = bisect(lambda t: _iid_family(d, qv, math.exp(t), pin_rows),
+                       math.log(rho_lo), math.log(RHO_BRACKET[1]),
+                       residual=lambda dm: dm[0] - rate, ftol=MI_FTOL)[2]
+    return div, mean, True
+
+
 def primal_iid(channel: ChannelModel, metric: DecodingMetric, q_in: InputDistribution,
                rate: float, constrain_px: bool, s_hi: float = S_HI) -> float:
     """Product-ensemble primal exponent (raw, unclamped).
@@ -382,21 +336,7 @@ def primal_iid(channel: ChannelModel, metric: DecodingMetric, q_in: InputDistrib
 
     def value_at(s: float) -> float:
         d = kern.distances(s)
-        np.fill_diagonal(d, 0.0)
-        div1, mean1 = _iid_family(d, qv, 1.0, constrain_px)
-        if div1 <= rate:
-            return div1 + mean1 - rate             # multiplier at its floor
-        lo, hi = 0.0, math.log(RHO_BRACKET[1])
-        div, mean = div1, mean1
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            div, mean = _iid_family(d, qv, math.exp(mid), constrain_px)
-            if abs(div - rate) < MI_FTOL:
-                break
-            if div > rate:
-                lo = mid
-            else:
-                hi = mid
+        div, mean, _ = _iid_constrained(d, qv, rate, constrain_px, 1.0)
         return div + mean - rate
 
     _, v_star, _ = grid_then_golden(value_at, 0.0, s_hi)

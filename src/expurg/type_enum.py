@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from ._numerics import lse as logsumexp
-from ._search import golden_max, grid_then_golden
+from ._search import bisect, golden_max, grid_then_golden
 from .dual import S_HI
 from .ensembles import EnsembleSpec, largest_remainder
 from .errors import BudgetError, Error
@@ -38,6 +38,7 @@ from .model import (
     InputDistribution,
     PairKernel,
     check_dimensions,
+    distance_matrix,
 )
 
 TYPE_CAP = 10 ** 7
@@ -594,7 +595,6 @@ def enumerator_exponents(channel: ChannelModel, metric: DecodingMetric,
 
         def e1_at(s: float) -> float:
             d = kern.distances(s)
-            np.fill_diagonal(d, 0.0)
             loose = primal.entropic_pair_min(d, q_in, 1e-4, max_iter=2000)
             if loose.mutual_info <= rate:
                 return NEG_INF                    # boundary unreachable: exclude from sup
@@ -605,21 +605,8 @@ def enumerator_exponents(channel: ChannelModel, metric: DecodingMetric,
 
         def e1_at(s: float) -> float:
             d = kern.distances(s)
-            np.fill_diagonal(d, 0.0)
-            div, mean = primal._iid_family(d, qv, primal.RHO_BRACKET[0], True)
-            if div <= rate:
-                return NEG_INF
-            lo, hi = math.log(primal.RHO_BRACKET[0]), math.log(primal.RHO_BRACKET[1])
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                div, mean = primal._iid_family(d, qv, math.exp(mid), True)
-                if abs(div - rate) < primal.MI_FTOL:
-                    break
-                if div > rate:
-                    lo = mid
-                else:
-                    hi = mid
-            return mean
+            _, mean, binding = primal._iid_constrained(d, qv, rate, True, primal.RHO_BRACKET[0])
+            return mean if binding else NEG_INF       # boundary unreachable: exclude from sup
 
     _, e1, _ = grid_then_golden(e1_at, 0.0, S_HI)
     if e1 == NEG_INF:
@@ -641,9 +628,7 @@ def theta_cost(channel: ChannelModel, metric: DecodingMetric, q_in: InputDistrib
     """Per-input log moment generating value of rbar*a(Xbar) - t*d_s(x, Xbar), Xbar ~ Q."""
     if t < 0:
         raise Error("t must be non-negative")
-    kern = PairKernel(channel, metric)
-    d = kern.distances(s)
-    np.fill_diagonal(d, 0.0)
+    d = distance_matrix(channel, metric, s)
     a = np.asarray(a_vec, dtype=float)
     qv = q_in.q_vec
     sup = np.flatnonzero(qv > 0)
@@ -697,9 +682,7 @@ def distance_enum_exponent(channel: ChannelModel, metric: DecodingMetric,
     """
     x_word = np.asarray(x_word, dtype=int)
     n = len(x_word)
-    kern = PairKernel(channel, metric)
-    d = kern.distances(s)
-    np.fill_diagonal(d, 0.0)
+    d = distance_matrix(channel, metric, s)
     qv = q_in.q_vec
     sup = np.flatnonzero(qv > 0)
     d_min = float(np.mean(d[x_word][:, sup].min(axis=1)))
@@ -711,13 +694,6 @@ def distance_enum_exponent(channel: ChannelModel, metric: DecodingMetric,
     if rate_fn(d_min) <= rate:
         d_lo = d_min
     else:
-        lo, hi = d_min, d_mean
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if rate_fn(mid) <= rate:
-                hi = mid
-            else:
-                lo = mid
-        d_lo = hi
+        d_lo = bisect(lambda lvl: rate_fn(lvl) - rate, d_min, d_mean, max_iter=60)[1]
     level, neg = golden_max(lambda lvl: -(lvl + rate_fn(lvl) - rate), d_lo, d_mean, xtol=1e-7)
     return -neg

@@ -1,10 +1,11 @@
 """CLI behavior: CSV contracts, exit codes, determinism, unit handling."""
 
 import math
+import sys
 
 import pytest
 
-from expurg import cli
+from expurg import cli, finite, presets
 from expurg.config import parse_grid, parse_instance, to_unit
 from expurg.errors import UsageError
 
@@ -105,6 +106,36 @@ def test_finite_bec_refuses_refined_column(capsys):
     _, rows = parse_csv(out)
     assert rows[0][6] == ""                                # refined column empty
     assert rows[0][1] != ""                                # other columns intact
+
+
+def test_finite_prints_bounds_below_the_smallest_double(capsys):
+    n, rate = 4000, 0.02
+    code, out, _ = run_cli(["finite", "--preset", "bsc", "--n", str(n), "--rate", repr(rate),
+                            "--rho", "1", "--s", "0.5"], capsys)
+    assert code == 0
+    header, rows = parse_csv(out)
+    row = dict(zip(header, rows[0]))
+    ch, q, qin = presets.bsc_ml(0.1)
+    m = math.exp(n * rate)
+    logs = {
+        "rcux_exact": finite.log_rcux_rho_pairwise_exact(ch, q, qin, n, m, 1.0),
+        "rcux_product": finite.log_rcux_iid_product(ch, q, qin, n, m, 1.0, 0.5),
+        "refined_bound": finite.log_refined_bound(ch, q, qin, 1.0, 0.5, rate, n),
+    }
+    for col, lv in logs.items():
+        assert lv < math.log(sys.float_info.min)
+        mant, exp10 = row[col].split("e")
+        assert 1.0 <= float(mant) < 10.0
+        assert math.log10(float(mant)) + int(exp10) == pytest.approx(lv / math.log(10.0), abs=1e-11)
+
+
+def test_unanticipated_failure_exits_with_invariant_code(capsys):
+    # M = exp(n * rate) overflows a double at n * rate = 800
+    code, out, err = run_cli(["finite", "--preset", "bsc", "--n", "8000", "--rate", "0.1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "OverflowError" in err
 
 
 def test_check_bsc_report(capsys):

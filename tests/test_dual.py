@@ -149,6 +149,18 @@ def test_eex_generic_interior_optimum_bsc():
     assert res.value > dual.eex_generic(e0, rate=0.05).value
 
 
+def test_eex_generic_nonconcave_e0_falls_back_to_grid():
+    rate = 0.05
+
+    def e0(rho):        # rho * rate plus a log-normal bump at rho = 40: not concave
+        return rho * rate + 3.0 * math.exp(-math.log(rho / 40.0) ** 2)
+
+    with pytest.warns(UserWarning, match="concavity spot check failed"):
+        res = dual.eex_generic(e0, rate)
+    assert res.argmax.rho == pytest.approx(40.0, rel=1e-6)
+    assert res.value == pytest.approx(3.0, abs=1e-12)
+    assert not res.boundary_flag
+
 def test_rate_zero_limit_bsc_closed_form():
     res = dual.rate_zero_limit(*BSC)
     assert res.value == pytest.approx(RATE_ZERO_BSC, abs=1e-4)

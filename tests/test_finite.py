@@ -92,14 +92,6 @@ def test_mc_rcux_seed_reproducible():
     assert c.value != a.value
 
 
-def test_mc_rcux_sharding_is_deterministic():
-    ch, q, qin = BSC
-    spec = EnsembleSpec("iid", qin)
-    a = finite.mc_rcux(ch, q, spec, 10, 4.0, 1.0, samples=600, seed=9, shards=3)
-    b = finite.mc_rcux(ch, q, spec, 10, 4.0, 1.0, samples=600, seed=9, shards=3)
-    assert a.value == b.value
-
-
 def test_mc_rcux_empty_sample_rejected():
     ch, q, qin = BSC
     with pytest.raises(Error, match="empty sample"):

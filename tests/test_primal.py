@@ -7,7 +7,7 @@ import pytest
 
 from expurg import dual, presets, primal
 from expurg.errors import InfeasibleError
-from expurg.model import InputDistribution, distance_matrix, tilted_pair
+from expurg.model import ChannelModel, DecodingMetric, InputDistribution, distance_matrix, tilted_pair
 
 BSC = presets.bsc_ml(0.1)
 FIG1_MM = presets.fig1_mismatched()
@@ -175,3 +175,46 @@ def test_primal_iid_feasible_set_nesting():
 def test_primal_iid_large_rate_goes_negative():
     ch, q, qin = BSC
     assert primal.primal_iid(ch, q, qin, 3.0, constrain_px=False) < 0.0
+
+
+# Channel whose inputs 0 and 2 overlap only on an output of mass 1e-261, so
+# d_s(0, 2) is about 600 nats for every s > 0: at rho = 1 the scaling kernel's
+# log span exceeds 500 and both routes solve in the log domain.
+_EPS = 1e-261
+LOG_DOMAIN_CH = ChannelModel(np.array([[0.6, 0.4 - _EPS, 0.0, _EPS],
+                                       [0.3, 0.3, 0.4, 0.0],
+                                       [0.0, 0.0, 1.0 - _EPS, _EPS]]))
+
+
+def test_log_domain_routes_agree_and_certify():
+    ch = LOG_DOMAIN_CH
+    q = DecodingMetric.ml(ch)
+    qin = InputDistribution(np.array([0.25, 0.35, 0.4]))
+    rho = 1.0
+    res = dual.ex_cc_dual(ch, q, qin, rho)
+    assert res.converged
+    s = res.argmax.s
+    d = distance_matrix(ch, q, s)
+    assert np.ptp(d[np.isfinite(d)]) / rho >= 500.0
+    sol = primal.entropic_pair_min(d, qin, rho)
+    assert sol.converged
+    assert np.max(np.abs(sol.pair.row_marginal - qin.q_vec)) < 1e-8
+    assert np.max(np.abs(sol.pair.col_marginal - qin.q_vec)) < 1e-8
+    assert abs(sol.objective - sol.dual_value) <= 1e-8 * (1 + abs(sol.objective))
+    a = sol.tilt_vector(rho, qin)
+    assert dual.ex_cc_objective(ch, q, qin, rho, s, a) == pytest.approx(sol.objective, abs=1e-8)
+    assert dual.ex_cc_objective(ch, q, qin, rho, s, res.argmax.a_vec) == \
+        pytest.approx(res.value, abs=1e-8)
+    assert res.value == pytest.approx(sol.objective, abs=1e-8)
+
+
+def test_log_domain_primal_marginals_pinned():
+    qin = InputDistribution(np.array([0.2, 0.5, 0.3]))
+    d = np.array([[0.0, 1.0, 620.0], [0.7, 0.0, 2.0], [640.0, 1.5, 0.0]])
+    sol = primal.entropic_pair_min(d, qin, 1.0)
+    assert sol.converged
+    assert np.max(np.abs(sol.pair.row_marginal - qin.q_vec)) < 1e-8
+    assert np.max(np.abs(sol.pair.col_marginal - qin.q_vec)) < 1e-8
+    assert abs(sol.objective - sol.dual_value) <= 1e-8 * (1 + abs(sol.objective))
+    diffs = np.diff(sol.merit_trace)
+    assert (diffs <= 1e-12 * (1 + np.abs(sol.merit_trace[:-1]))).all()
