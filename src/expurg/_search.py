@@ -1,44 +1,77 @@
-"""Scalar search primitives: golden-section maximization and monotone bisection."""
+"""Scalar search primitives: Brent maximization and monotone bisection."""
 
 from __future__ import annotations
 
 import math
 from typing import Callable, TypeVar
 
-_INVGOLD = (math.sqrt(5.0) - 1.0) / 2.0
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 T = TypeVar("T")
 
 
 def golden_max(f: Callable[[float], float], lo: float, hi: float,
                xtol: float = 1e-9, max_iter: int = 200) -> tuple[float, float]:
-    """Maximize a unimodal function on [lo, hi]; returns (x*, f(x*))."""
+    """Maximize a unimodal function on [lo, hi] by Brent's method; returns (x*, f(x*)).
+
+    Golden-section steps plus successive parabolic interpolation through the
+    three best points (Brent 1973).  Stops once the bracket [a, b] has
+    b - a <= xtol * (1 + |a| + |b|), or after max_iter evaluations past the
+    first.  The result is the best point evaluated; a tie goes to the lower
+    point, so a flat stretch resolves toward lo.
+    """
     a, b = float(lo), float(hi)
-    x1 = b - _INVGOLD * (b - a)
-    x2 = a + _INVGOLD * (b - a)
-    f1, f2 = f(x1), f(x2)
-    best_x, best_f = (x1, f1) if f1 >= f2 else (x2, f2)
+    x = w = v = a + _CGOLD * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
     for _ in range(max_iter):
-        if (b - a) <= xtol * (1.0 + abs(a) + abs(b)):
+        width = xtol * (1.0 + abs(a) + abs(b))
+        if b - a <= width:
             break
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVGOLD * (b - a)
-            f1 = f(x1)
+        tol1 = width / 4.0               # least step; steps keep this far from x and the ends
+        xm = 0.5 * (a + b)
+        golden = True
+        if abs(e) > tol1:
+            # parabola through (v, fv), (w, fw), (x, fx); its vertex is x + p/q
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
+                d = p / q
+                golden = False
+                if (x + d) - a < 2.0 * tol1 or b - (x + d) < 2.0 * tol1:
+                    d = tol1 if xm >= x else -tol1
+        if golden:
+            e = (a - x) if x >= xm else (b - x)
+            d = _CGOLD * e
+        u = x + d if abs(d) >= tol1 else x + math.copysign(tol1, d)
+        fu = f(u)
+        if fu > fx or (fu == fx and u < x):
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVGOLD * (b - a)
-            f2 = f(x2)
-        if f1 >= best_f:
-            best_x, best_f = x1, f1
-        if f2 >= best_f:
-            best_x, best_f = x2, f2
-    return best_x, best_f
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def grid_then_golden(f: Callable[[float], float], lo: float, hi: float,
                      points: int = 17, xtol: float = 1e-9) -> tuple[float, float, list[float]]:
-    """Coarse grid followed by golden refinement around the best bracket.
+    """Coarse grid followed by Brent refinement around the best bracket.
 
     Returns (x*, f*, ties) where ties lists grid points whose value matched the
     grid maximum to within 1e-9; robust when unimodality is only empirical.

@@ -202,6 +202,8 @@ def cmd_finite(rc: RunConfig) -> int:
         if rc.s is not None:
             s = rc.s
             log_prod = finite.log_rcux_iid_product(ch, q, qin, n, M, rho, s)
+        elif rc.rho is not None:        # the product form and the refined bound at the given rho
+            log_prod, s = finite.optimize_rcux_product_s(ch, q, qin, n, M, rho)
         else:
             log_prod, _, s = finite.optimize_rcux_product(ch, q, qin, n, M)
         mc = ci_lo = ci_hi = None

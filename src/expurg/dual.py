@@ -35,6 +35,8 @@ S_HI_WIDE = 100.0
 BOUNDARY_FRACTION = 0.99
 A_TOL = 1e-10          # on the span of one sweep's change in the tilt a = rho * log psi
 A_MAX_ITER = 10_000
+RHO_XTOL = 1e-9        # relative stopping width of the search over rho
+RHO_SHRINK = 1e-3      # factor by which eex_generic narrows a bracket at the lower end
 
 
 @dataclass
@@ -105,38 +107,66 @@ def eex_iid(channel: ChannelModel, metric: DecodingMetric, q_in: InputDistributi
     kern = PairKernel(channel, metric)
     qv = q_in.q_vec
 
+    s_at: dict[float, float] = {}
+
     def e0(rho: float) -> float:
-        return _sup_s(lambda s: _ex_iid_kern(kern, qv, rho, s))[1]
+        s_at[rho], v = _sup_s(lambda s: _ex_iid_kern(kern, qv, rho, s))
+        return v
 
     res = eex_generic(e0, rate, (1.0, rho_max))
-    s_star, _ = _sup_s(lambda s: _ex_iid_kern(kern, qv, res.argmax.rho, s))
-    res.argmax.s = s_star
+    res.argmax.s = s_at[res.argmax.rho]
     return res
 
 
 def eex_generic(e0, rate: float, rho_range: tuple[float, float] = (1.0, RHO_MAX)) -> ExponentResult:
     """sup over rho of e0(rho) - rho*rate for a concave e0, with a grid fallback.
 
-    Concavity is spot-checked on sampled midpoints; when the check fails the
-    supremum is taken over a dense grid in log rho (with local refinement) and
-    a warning is emitted.
+    e0 is evaluated at most once per rho.  Concavity is spot-checked on five
+    geometric probes and their midpoints.  When it holds, the argmax of the
+    concave g(rho) = e0(rho) - rho*rate lies between the neighbours of the
+    best of those nine probes, and Brent's method searches that bracket.  A
+    best probe at the lower end is settled first: g is tried at lo + h with h
+    shrinking by RHO_SHRINK, each g(lo) >= g(lo + h) moving the bracket down
+    to [lo, lo + h], so rho* = lo exactly once it is narrower than the
+    search's stopping width; the first g(lo + h) > g(lo) hands the last
+    bracket to Brent.  When the check fails the supremum is taken over a
+    dense grid in log rho (with local refinement) and a warning is emitted.
     """
     lo, hi = rho_range
+    memo: dict[float, float] = {}
+
+    def e0_once(rho: float) -> float:
+        if rho not in memo:
+            memo[rho] = e0(rho)
+        return memo[rho]
 
     def g(rho: float) -> float:
-        return e0(rho) - rho * rate
+        return e0_once(rho) - rho * rate
 
     concave = True
-    probes = np.geomspace(lo, hi, 5)
+    probes = [float(r) for r in np.geomspace(lo, hi, 5)]
     for ra, rb in zip(probes[:-1], probes[1:]):
         rm = 0.5 * (ra + rb)
-        va, vm, vb = e0(ra), e0(rm), e0(rb)
+        va, vm, vb = e0_once(ra), e0_once(rm), e0_once(rb)
         if vm < 0.5 * (va + vb) - 1e-8 * (1.0 + abs(vm)):
             concave = False
             break
 
+    def wide(a: float, b: float) -> bool:
+        return b - a > RHO_XTOL * (1.0 + abs(a) + abs(b))
+
     if concave:
-        rho_star, best = golden_max(g, lo, hi)
+        pts = sorted(memo)
+        k = max(range(len(pts)), key=lambda i: g(pts[i]))     # the lowest of equal maxima
+        a, b = pts[max(k - 1, 0)], pts[min(k + 1, len(pts) - 1)]
+        rho_star, best = pts[k], g(pts[k])
+        if k == 0:
+            while wide(a, b) and g(a + (b - a) * RHO_SHRINK) <= best:
+                b = a + (b - a) * RHO_SHRINK
+        if wide(a, b):
+            rho_b, best_b = golden_max(g, a, b, xtol=RHO_XTOL)
+            if best_b > best:
+                rho_star, best = rho_b, best_b
     else:
         warnings.warn("concavity spot check failed; falling back to a dense rho grid")
         t_star, best, _ = grid_then_golden(lambda t: g(math.exp(t)),
@@ -217,11 +247,14 @@ def eex_cc_dual(channel: ChannelModel, metric: DecodingMetric, q_in: InputDistri
     if rate <= 0:
         raise Error("rate must be positive")
 
+    solved: dict[float, ExponentResult] = {}
+
     def e0(rho: float) -> float:
-        return ex_cc_dual(channel, metric, q_in, rho).value
+        solved[rho] = ex_cc_dual(channel, metric, q_in, rho)
+        return solved[rho].value
 
     res = eex_generic(e0, rate, (1.0, rho_max))
-    inner = ex_cc_dual(channel, metric, q_in, res.argmax.rho)
+    inner = solved[res.argmax.rho]
     res.argmax = DualParams(rho=res.argmax.rho, s=inner.argmax.s, a_vec=inner.argmax.a_vec)
     res.converged = inner.converged
     return res

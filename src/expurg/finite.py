@@ -13,13 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._search import golden_max
-from .dual import _sup_s, ex_iid
+from .dual import _ex_iid_kern, _sup_s, ex_iid
 from .ensembles import EnsembleSpec
 from .errors import Error, GateRefusalError
 from .model import (
     ChannelModel,
     DecodingMetric,
     InputDistribution,
+    PairKernel,
     check_dimensions,
     info_density,
     nonsingularity_set,
@@ -89,21 +90,41 @@ def optimize_rcux_exact(channel: ChannelModel, metric: DecodingMetric,
     return -neg, rho
 
 
+def _log_product_min_s(kern: PairKernel, qv: np.ndarray, n: int, M: float,
+                       rho: float) -> tuple[float, float]:
+    """(log of the product form minimized over s >= 0 at this rho, s*)."""
+    s, ex = _sup_s(lambda s: _ex_iid_kern(kern, qv, rho, s))
+    if M <= 1:
+        return NEG_INF, s
+    return rho * (math.log(4.0) + math.log(M - 1.0)) - n * ex, s
+
+
+def optimize_rcux_product_s(channel: ChannelModel, metric: DecodingMetric,
+                            q_in: InputDistribution, n: int, M: float,
+                            rho: float) -> tuple[float, float]:
+    """Minimize the product-form bound over s >= 0 at a fixed rho >= 1; returns (log value, s*)."""
+    if rho < 1:
+        raise Error("rho must be at least 1")
+    return _log_product_min_s(PairKernel(channel, metric), q_in.q_vec, n, M, rho)
+
+
 def optimize_rcux_product(channel: ChannelModel, metric: DecodingMetric,
                           q_in: InputDistribution, n: int, M: float,
                           rho_hi: float = 100.0) -> tuple[float, float, float]:
     """Minimize the product-form bound over rho >= 1 and s >= 0; returns (log value, rho*, s*)."""
+    kern = PairKernel(channel, metric)
+    qv = q_in.q_vec
     if M <= 1:
-        s0, _ = _sup_s(lambda s: ex_iid(channel, metric, q_in, 1.0, s))
-        return NEG_INF, 1.0, s0
+        return NEG_INF, 1.0, _log_product_min_s(kern, qv, n, M, 1.0)[1]
+    at_rho: dict[float, tuple[float, float]] = {}
 
-    def per_rho(rho: float) -> float:
-        _, v = _sup_s(lambda s: n * ex_iid(channel, metric, q_in, rho, s))
-        return v - rho * (math.log(4.0) + math.log(M - 1.0))
+    def neg_log(rho: float) -> float:
+        at_rho[rho] = _log_product_min_s(kern, qv, n, M, rho)
+        return -at_rho[rho][0]
 
-    rho, best = golden_max(per_rho, 1.0, rho_hi, xtol=1e-6)
-    s, _ = _sup_s(lambda s: ex_iid(channel, metric, q_in, rho, s))
-    return -best, rho, s
+    rho, _ = golden_max(neg_log, 1.0, rho_hi, xtol=1e-6)
+    log_value, s = at_rho[rho]
+    return log_value, rho, s
 
 
 # ---------------------------------------------------------------------------

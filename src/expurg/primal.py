@@ -215,7 +215,7 @@ def eex_cc_primal(channel: ChannelModel, metric: DecodingMetric, q_in: InputDist
     """sup over s of the piecewise distortion-rate exponent.
 
     The per-s value is concave in s (a minimum of concave functions), so a
-    coarse grid with golden refinement finds the supremum; grid ties are
+    coarse grid with Brent refinement finds the supremum; grid ties are
     recorded.  Returns the active branch and the optimizing coupling.
     """
     if rate <= 0:
@@ -259,7 +259,7 @@ def duality_gap(channel: ChannelModel, metric: DecodingMetric, q_in: InputDistri
     """|primal - dual| for the constant-composition exponent at one rate.
 
     The two sides are computed by genuinely different outer routes (bisection
-    on the entropy weight vs golden search over rho), so a small gap is a real
+    on the entropy weight vs a bracketed search over rho), so a small gap is a real
     consistency certificate.
     """
     primal = eex_cc_primal(channel, metric, q_in, rate)

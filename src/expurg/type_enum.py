@@ -677,8 +677,8 @@ def distance_enum_exponent(channel: ChannelModel, metric: DecodingMetric,
     """inf over feasible levels D of D + R(D, x) - rate, for the given word.
 
     R(., x) is nonincreasing, so feasibility (R <= rate) holds above a
-    threshold found by bisection; the objective is then minimized by golden
-    search on the feasible interval.
+    threshold found by bisection; the objective is then minimized by Brent's
+    method on the feasible interval.
     """
     x_word = np.asarray(x_word, dtype=int)
     n = len(x_word)

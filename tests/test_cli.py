@@ -129,6 +129,23 @@ def test_finite_prints_bounds_below_the_smallest_double(capsys):
         assert math.log10(float(mant)) + int(exp10) == pytest.approx(lv / math.log(10.0), abs=1e-11)
 
 
+def _log10_of_printed(text):
+    """log10 of a printed bound, including the mantissa-exponent form below the smallest double."""
+    mant, _, exp10 = text.partition("e")
+    return math.log10(float(mant)) + (int(exp10) if exp10 else 0)
+
+
+def test_finite_fixed_rho_product_column_bounds_exact_column(capsys):
+    # with --rho alone, s is optimized at that rho, and the product form bounds the exact sum
+    code, out, _ = run_cli(["finite", "--preset", "bsc", "--n", "100,400", "--rate", "0.002",
+                            "--rho", "1"], capsys)
+    assert code == 0
+    header, rows = parse_csv(out)
+    for row in rows:
+        row = dict(zip(header, row))
+        assert _log10_of_printed(row["rcux_product"]) >= _log10_of_printed(row["rcux_exact"])
+
+
 def test_unanticipated_failure_exits_with_invariant_code(capsys):
     # M = exp(n * rate) overflows a double at n * rate = 800
     code, out, err = run_cli(["finite", "--preset", "bsc", "--n", "8000", "--rate", "0.1"], capsys)

@@ -127,9 +127,25 @@ def test_ex_cost_star_average_outside_dominates():
 
 
 def test_eex_generic_linear_objective_sits_at_rho_one():
-    res = dual.eex_generic(lambda rho: 0.01 * rho, rate=0.5, rho_range=(1.0, 100.0))
-    assert abs(res.argmax.rho - 1.0) < 1e-3
+    calls = []
+
+    def e0(rho):
+        calls.append(rho)
+        return 0.01 * rho
+
+    res = dual.eex_generic(e0, rate=0.5, rho_range=(1.0, 100.0))
+    assert res.argmax.rho == 1.0
     assert res.raw == pytest.approx(0.01 - 0.5, abs=1e-6)
+    assert len(calls) <= 15
+    assert len(set(calls)) == len(calls)              # e0 is evaluated once per rho
+
+
+def test_eex_cc_dual_boundary_rate_is_exact_at_rho_one():
+    ch, q, qin = FIG1_MM
+    rate = 0.264 * math.log(2)
+    res = dual.eex_cc_dual(ch, q, qin, rate)
+    assert res.argmax.rho == 1.0
+    assert res.raw == dual.ex_cc_dual(ch, q, qin, 1.0).value - rate
 
 
 def test_eex_generic_zero_rate_hits_boundary():
