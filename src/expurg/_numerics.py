@@ -1,11 +1,17 @@
-"""Small-array numerics: a lean log-sum-exp and the entropic-scaling kernel.
+"""Small-array numerics: a lean log-sum-exp, a log-factorial table and the
+entropic-scaling kernel.
 
 The solvers here work on alphabets of a handful of symbols; scipy's
 logsumexp spends more time in dispatch than in arithmetic at that size, so
-the hot loops use this minimal max-shift version instead.
+the hot loops use this minimal max-shift version instead.  The method-of-types
+counts read log k! from one table built with ``math.lgamma``, so importing the
+package loads numpy only; scipy is imported inside the few functions that
+call its optimizers.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,6 +28,11 @@ def lse(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
     if axis is None:
         return float(out)
     return out
+
+
+def log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n; each entry is lgamma(k + 1), so no rounding error accumulates."""
+    return np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
 
 
 def scale_marginals(lk: np.ndarray, lq: np.ndarray, la0: np.ndarray | None,

@@ -25,9 +25,8 @@ from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
-from scipy.special import gammaln
 
-from ._numerics import lse as logsumexp
+from ._numerics import log_factorials, lse as logsumexp
 from ._search import bisect, golden_max, grid_then_golden
 from .dual import S_HI
 from .ensembles import EnsembleSpec, largest_remainder
@@ -44,6 +43,7 @@ from .model import (
 TYPE_CAP = 10 ** 7
 ENUM_BUDGET = 10 ** 7
 LATTICE_RTOL = 1e-9
+LATTICE_BUDGET = 10 ** 5      # lattice points one tail convolution may span
 NEG_INF = -math.inf
 
 
@@ -145,6 +145,14 @@ def _log_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_lattice_extent(n: int, width: int):
+    """Refuse before convolving when n letters of pmfs ``width`` points wide may exceed the budget."""
+    if n * width > LATTICE_BUDGET:
+        raise BudgetError(
+            f"tail lattice of up to {n} x {width} points exceeds the budget {LATTICE_BUDGET}; "
+            "the per-letter log ratios are nearly incommensurable")
+
+
 def _pmf_power(logp: np.ndarray, offset: int, k: int) -> tuple[np.ndarray, int]:
     """k-fold convolution of an integer-lattice log-pmf by binary powering."""
     res = (np.zeros(1), 0)
@@ -237,6 +245,7 @@ class PairwiseTailCalculator:
         log_force_term = _log1m_exp(log_no_force)
         log_finite_term = NEG_INF
         if all(len(p[0]) > 0 for p in parts):
+            _check_lattice_extent(int(counts.sum()), max((len(p[0]) for p in parts), default=0))
             acc = (np.zeros(1), 0)
             for logp, off, c in parts:
                 pw = _pmf_power(logp, off, c)
@@ -413,10 +422,12 @@ def log_rcux_cc_exact(channel: ChannelModel, metric: DecodingMetric, q_in: Input
         return NEG_INF
     comp = largest_remainder(q_in.q_vec, n)
     calc = PairwiseTailCalculator(channel, metric)
-    log_t_class = gammaln(n + 1) - gammaln(comp + 1).sum()
+    lf = log_factorials(n)
+    log_comp = lf[comp].sum()
+    log_t_class = lf[n] - log_comp
     contribs = []
     for jt in enumerate_joint_types_with_marginals(comp, comp, cap=cap):
-        log_count = gammaln(comp + 1).sum() - gammaln(jt.counts + 1).sum()
+        log_count = log_comp - lf[jt.counts].sum()
         log_prob = log_count - log_t_class
         lt = _log_type_tail(calc, jt.counts, enum_budget)
         contribs.append(log_prob + lt / rho)
@@ -460,12 +471,13 @@ def log_rcux_iid_exact(channel: ChannelModel, metric: DecodingMetric, q_in: Inpu
     qv = q_in.q_vec
     with np.errstate(divide="ignore"):
         lqq = np.log(qv)[:, None] + np.log(qv)[None, :]
+    lf = log_factorials(n)
     contribs = []
     for jt in enumerate_joint_types(n, channel.input_size, cap=cap):
         mask = jt.counts > 0
         if np.any(mask & ~np.isfinite(lqq)):
             continue
-        log_prob = (gammaln(n + 1) - gammaln(jt.counts + 1).sum()
+        log_prob = (lf[n] - lf[jt.counts].sum()
                     + float((jt.counts * np.where(mask, lqq, 0.0)).sum()))
         lt = _log_type_tail(calc, jt.counts, enum_budget)
         contribs.append(log_prob + lt / rho)
@@ -475,8 +487,10 @@ def log_rcux_iid_exact(channel: ChannelModel, metric: DecodingMetric, q_in: Inpu
 def _two_class_sweep(active: _CellPMF, lp_inert: float, lp_active: float,
                      n: int, rho: float) -> float:
     """Incremental tail sweep over the number of active letters m = 0..n."""
-    log_binom = gammaln(n + 1) - gammaln(np.arange(n + 1) + 1) - gammaln(n - np.arange(n + 1) + 1)
+    lf = log_factorials(n)
+    log_binom = lf[n] - lf - lf[::-1]
     base, base_off = active.log_finite, active.offset
+    _check_lattice_extent(n, len(base))
     cur, off = np.zeros(1), 0
     contribs = np.empty(n + 1)
     contribs[0] = log_binom[0] + n * lp_inert            # tail = 1 at m = 0
@@ -491,7 +505,9 @@ def _two_class_sweep(active: _CellPMF, lp_inert: float, lp_active: float,
 
 def _class_composition_sum(probs: np.ndarray, reps: list[_CellPMF], n: int, rho: float) -> float:
     lp = np.log(probs)
+    lf = log_factorials(n)
     g = len(reps)
+    _check_lattice_extent(n, max(len(c.log_finite) for c in reps))
     power_cache: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
 
     def powered(i: int, c: int):
@@ -502,12 +518,12 @@ def _class_composition_sum(probs: np.ndarray, reps: list[_CellPMF], n: int, rho:
 
     contribs = []
     for comp in _compositions(n, g):
-        log_prob = gammaln(n + 1)
+        log_prob = lf[n]
         log_no_force = 0.0
         acc = (np.zeros(1), 0)
         dead = False
         for i, c in enumerate(comp):
-            log_prob += c * lp[i] - gammaln(c + 1)
+            log_prob += c * lp[i] - lf[c]
             if c == 0:
                 continue
             cell = reps[i]

@@ -1,7 +1,10 @@
 """CLI behavior: CSV contracts, exit codes, determinism, unit handling."""
 
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +156,43 @@ def test_unanticipated_failure_exits_with_invariant_code(capsys):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert "OverflowError" in err
+
+
+def test_exponent_cost_shell_column_sits_between_iid_and_cc(tmp_path, capsys):
+    cfg = tmp_path / "shell.cfg"
+    cfg.write_text(
+        "[channel]\n0.98 0.01 0.01\n0.05 0.9 0.05\n0.25 0.25 0.5\n\n"
+        "[metric]\nml\n\n"
+        "[ensemble]\ncost\n\n"
+        "[aux_costs]\n0 1 2\n\n"
+        "[shell_width]\n0.1\n")
+    code, out, _ = run_cli(["exponent", "--config", str(cfg), "--grid", "0.05:0.05:0.05"], capsys)
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert len(rows) == 1
+    vals = dict(zip(header, map(float, rows[0])))
+    assert vals["eex_iid"] - 1e-9 <= vals["eex_cost"] <= vals["eex_cc_dual"] + 1e-9
+    assert vals["eex_cost"] > vals["eex_iid"] + 1e-4      # the shell tilt is not idle
+
+
+def test_import_and_cli_calls_leave_scipy_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import contextlib, io, sys\n"
+        "import expurg\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [expurg.cli.main(['exponent', '--preset', 'fig1-ml', '--grid', '0.1:0.1:0.1']),\n"
+        "             expurg.cli.main(['finite', '--preset', 'bsc', '--n', '100', '--rate', '0.02'])]\n"
+        "print(codes)\n"
+        "print(loaded())\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[0, 0]", "[]"]
 
 
 def test_check_bsc_report(capsys):

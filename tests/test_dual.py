@@ -91,6 +91,22 @@ def test_ex_cost_empty_set_reduces_to_ex_iid():
             dual.ex_iid(ch, q, qin, rho, s), abs=1e-12)
 
 
+def test_ex_cost_opt_empty_set_is_the_product_sup_over_s():
+    from scipy.optimize import minimize_scalar
+    for (ch, q, qin), rho in ((BSC, 1.0), (BSC, 3.0), (FIG1_MM, 1.0), (FIG1_MM, 2.5)):
+        res = dual.ex_cost_opt(ch, q, qin, AuxiliaryCostSet.empty(ch.input_size), rho)
+        ref = minimize_scalar(lambda s: -dual.ex_iid(ch, q, qin, rho, s),
+                              bounds=(0.0, dual.S_HI), method="bounded",
+                              options={"xatol": 1e-10})
+        assert res.value == pytest.approx(-ref.fun, abs=1e-9)
+        assert res.argmax.rho == rho
+        assert dual.ex_iid(ch, q, qin, rho, res.argmax.s) == pytest.approx(res.value, abs=1e-12)
+    # ML on the BSC: the Bhattacharyya point s = 1/2 is the sup
+    z = 2.0 * math.sqrt(0.1 * 0.9)
+    res = dual.ex_cost_opt(*BSC, AuxiliaryCostSet.empty(2), 2.0)
+    assert res.value == pytest.approx(-2.0 * math.log(0.5 + 0.5 * z ** 0.5), abs=1e-12)
+
+
 def test_ex_cost_zero_weights_reduce_to_ex_iid():
     ch, q, qin = FIG1_MM
     aux = AuxiliaryCostSet.from_q([[1.0, -2.0, 0.5], [0.0, 1.0, 3.0]], qin)

@@ -1,11 +1,13 @@
 """Method-of-types machinery against brute-force and hand oracles."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from expurg import dual, presets, primal, type_enum
+from expurg._numerics import log_factorials
 from expurg.ensembles import EnsembleSpec, largest_remainder
 from expurg.errors import BudgetError
 from expurg.model import AuxiliaryCostSet, ChannelModel, DecodingMetric, InputDistribution
@@ -41,6 +43,15 @@ def test_constrained_enumeration_partitions_probability():
         assert np.array_equal(jt.row_counts, comp)
         assert np.array_equal(jt.col_counts, comp)
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_log_factorials_match_scipy_gammaln():
+    from scipy.special import gammaln
+    k = np.arange(10 ** 4 + 1)
+    lf = log_factorials(10 ** 4)
+    assert lf.shape == k.shape
+    assert lf[0] == 0.0 and lf[1] == 0.0
+    np.testing.assert_allclose(lf, gammaln(k + 1.0), rtol=1e-15, atol=0.0)
 
 
 def test_largest_remainder_rounding():
@@ -117,7 +128,10 @@ def test_brute_force_noiseless_counts_self_pairs():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("rho", [1.0, 2.0])
 def test_iid_type_sum_matches_brute_force(n, rho):
-    for ch, q, qin in (presets.bsc_ml(0.1), presets.bsc_ml(0.3)):
+    instances = [presets.bsc_ml(0.1), presets.bsc_ml(0.3)]
+    if n <= 3:      # four merged cell classes: the class-composition sum (n = 4 takes ~13 s)
+        instances.append(FIG1_MM)
+    for ch, q, qin in instances:
         spec = EnsembleSpec("iid", qin)
         M = 2.0
         expected = (4.0 * (M - 1) * type_enum.brute_force_pairwise(ch, q, spec, n, rho)) ** rho
@@ -128,12 +142,12 @@ def test_iid_type_sum_matches_brute_force(n, rho):
 @pytest.mark.parametrize("n", [2, 4])
 @pytest.mark.parametrize("rho", [1.0, 2.0])
 def test_cc_type_sum_matches_brute_force(n, rho):
-    ch, q, qin = BSC
-    spec = EnsembleSpec("cc", qin)
-    M = 3.0
-    expected = (4.0 * (M - 1) * type_enum.brute_force_pairwise(ch, q, spec, n, rho)) ** rho
-    got = type_enum.rcux_cc_exact(ch, q, qin, n, M, rho)
-    assert got == pytest.approx(expected, rel=1e-12)
+    for ch, q, qin in (BSC, FIG1_MM):
+        spec = EnsembleSpec("cc", qin)
+        M = 3.0
+        expected = (4.0 * (M - 1) * type_enum.brute_force_pairwise(ch, q, spec, n, rho)) ** rho
+        got = type_enum.rcux_cc_exact(ch, q, qin, n, M, rho)
+        assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_rcux_cc_exact_single_codeword_is_zero():
@@ -145,6 +159,24 @@ def test_rcux_small_rho_warns():
     ch, q, qin = BSC
     with pytest.warns(UserWarning, match="not an achievability bound"):
         type_enum.rcux_cc_exact(ch, q, qin, 2, 2.0, 0.5)
+
+
+def test_lattice_budget_refuses_before_convolving():
+    # log ratios 1, 1.0001 and 2 fit a lattice of span 1e-4: cell pmfs 10,001 points wide
+    ch = ChannelModel(np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]))
+    q = DecodingMetric(np.array([[1.0, 1.0, 1.0], [math.e, math.exp(1.0001), math.exp(2.0)]]))
+    qin = QIN2
+    calc = type_enum.PairwiseTailCalculator(ch, q)
+    assert calc.span == pytest.approx(1e-4, rel=1e-6)
+    # 8 x 10,001 points fit the budget and give the value computed before it existed
+    assert type_enum.log_rcux_iid_exact(ch, q, qin, 8, 4.0, 1.0) == pytest.approx(
+        1.7013432699405906, rel=1e-12)
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetError, match="lattice"):
+        type_enum.log_rcux_iid_exact(ch, q, qin, 200, 4.0, 1.0)
+    with pytest.raises(BudgetError, match="lattice"):
+        calc.log_tail(np.array([[0, 100], [100, 0]]))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_iid_fast_path_matches_general_enumeration():
