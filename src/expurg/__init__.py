@@ -14,12 +14,13 @@ Module map:
   pairwise tails, brute-force oracles and type-population exponents.
 * ``finite`` -- computable bounds at finite n, Monte Carlo estimation, the
   expurgation simulator and the square-root-prefactor constants.
-* ``cli`` -- the ``expurg`` command-line front end.
+* ``cli`` -- the ``expurg`` command-line front end (also ``python -m expurg``);
+  imported on demand, not by ``import expurg``.
 """
 
 __version__ = "0.1.0"
 
-from . import cli, config, dual, ensembles, finite, model, presets, primal, type_enum
+from . import config, dual, ensembles, finite, model, presets, primal, type_enum
 from .dual import (
     DualParams,
     ExponentResult,

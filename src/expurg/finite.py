@@ -28,9 +28,10 @@ from .model import (
     tilted_pair,
 )
 from .type_enum import (
+    _iid_spectrum,
     _lattice_fit,
+    _log_bound,
     log_rcux_iid_exact,
-    pair_counts,
     PairwiseTailCalculator,
 )
 
@@ -81,12 +82,14 @@ def rcux_rho_pairwise_exact(channel: ChannelModel, metric: DecodingMetric,
 def optimize_rcux_exact(channel: ChannelModel, metric: DecodingMetric,
                         q_in: InputDistribution, n: int, M: float,
                         rho_hi: float = 100.0) -> tuple[float, float]:
-    """Minimize the exact pairwise bound over rho >= 1; returns (log value, rho*)."""
+    """Minimize the exact pairwise bound over rho >= 1; returns (log value, rho*).
+
+    The types are summed once; each rho the search tries re-weights that spectrum.
+    """
     if M <= 1:
         return NEG_INF, 1.0
-    rho, neg = golden_max(
-        lambda r: -log_rcux_rho_pairwise_exact(channel, metric, q_in, n, M, r),
-        1.0, rho_hi, xtol=1e-6)
+    spectrum = _iid_spectrum(channel, metric, q_in, n)
+    rho, neg = golden_max(lambda r: -_log_bound(spectrum, M, r), 1.0, rho_hi, xtol=1e-6)
     return -neg, rho
 
 
@@ -142,28 +145,31 @@ class MCEstimate:
     seed: int
 
 
+def _pair_types(xs: np.ndarray, xbs: np.ndarray, k: int) -> np.ndarray:
+    """Joint-type counts of each row pair of two sampled word batches, in one bincount."""
+    keys = np.arange(len(xs))[:, None] * (k * k) + xs * k + xbs
+    return np.bincount(keys.ravel(), minlength=len(xs) * k * k).reshape(len(xs), k, k)
+
+
 def mc_rcux(channel: ChannelModel, metric: DecodingMetric, ensemble: EnsembleSpec,
             n: int, M: float, rho: float, samples: int, seed: int) -> MCEstimate:
     """Monte Carlo over codeword pairs with exact inner tails.
 
-    Only the pair draw is sampled; each pairwise tail is computed exactly, so
-    the estimator is unbiased for the inner expectation and the normal 95%
-    interval on the mean transfers to the assembled bound monotonically.
-    The draws come from one substream derived from the seed, so results are
-    bit-identical for a given seed.
+    Only the pair draw is sampled; each pairwise tail is computed exactly by
+    ``PairwiseTailCalculator.log_tail``, so the estimator is unbiased for the
+    inner expectation and the normal 95% interval on the mean transfers to the
+    assembled bound monotonically.  The draws come from one substream derived
+    from the seed, so results are bit-identical for a given seed.
     """
     if samples <= 0:
         raise Error("empty sample")
     calc = PairwiseTailCalculator(channel, metric)
-    if not calc.lattice and channel.output_size ** n > 10 ** 7:
-        raise Error("exact pairwise tails unavailable at this blocklength")
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     xs = ensemble.sample_words(n, samples, rng, channel)
     xbs = ensemble.sample_words(n, samples, rng, channel)
     inner: list[float] = []
     tail_cache: dict[bytes, float] = {}     # tails depend on the pair only through its joint type
-    for i in range(samples):
-        counts = pair_counts(xs[i], xbs[i], channel.input_size)
+    for counts in _pair_types(xs, xbs, channel.input_size):
         key = counts.tobytes()
         if key not in tail_cache:
             tail_cache[key] = calc.log_tail(counts)

@@ -3,20 +3,26 @@
 The pairwise error event ``q^n(xbar, Y) >= q^n(x, Y)`` (ties are errors)
 depends on the codeword pair only through its joint type, so bound sums
 decompose into a probability over joint types times an exact per-type tail.
-Tails are computed in log domain either by integer-lattice convolution of the
-per-letter log metric ratios (exact tie handling, scales to n in the
-thousands) or, for small alphabets and blocklengths, by direct enumeration of
-output words with exact-rational metric comparisons.
+``PairwiseTailCalculator.log_tail`` is the one tail oracle: integer-lattice
+convolution of the per-letter log metric ratios when they are commensurable
+(exact tie handling, scales to n in the thousands), otherwise direct
+enumeration of output words with exact-rational metric comparisons under a
+budget.  The exact sums, ``dq_exact`` and Monte Carlo all call it.
 
 Zero-metric letters need care: an output with q(x_i, y_i) = 0 kills the
 transmitted word's whole metric product, so the competitor wins (or ties)
 regardless of the remaining letters; an output with q(xbar_i, y_i) = 0 <
-q(x_i, y_i) kills only the competitor.  The tail machinery tracks both masses
-next to the finite log-ratio part.
+q(x_i, y_i) kills only the competitor.  Every lattice tail is assembled once,
+in ``_assemble_tail``, from that forced-error mass and the finite part.
+
+Each exact sum builds a rho-free type spectrum, the arrays of log type
+probabilities and log tails, and ``_log_bound`` turns it into the bound at
+any rho, so a search over rho sums the types once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -153,10 +159,10 @@ def _check_lattice_extent(n: int, width: int):
             "the per-letter log ratios are nearly incommensurable")
 
 
-def _pmf_power(logp: np.ndarray, offset: int, k: int) -> tuple[np.ndarray, int]:
-    """k-fold convolution of an integer-lattice log-pmf by binary powering."""
+def _pmf_power(cell: _CellPMF, k: int) -> tuple[np.ndarray, int]:
+    """k-fold convolution of a cell's finite lattice log-pmf by binary powering."""
     res = (np.zeros(1), 0)
-    base = (logp, offset)
+    base = (cell.log_finite, cell.offset)
     while k:
         if k & 1:
             res = (_log_convolve(res[0], base[0]), res[1] + base[1])
@@ -166,17 +172,49 @@ def _pmf_power(logp: np.ndarray, offset: int, k: int) -> tuple[np.ndarray, int]:
     return res
 
 
-@dataclass
+@dataclass(eq=False)
 class _CellPMF:
     log_finite: np.ndarray     # log-mass over consecutive lattice indices
     offset: int                # lattice index of log_finite[0]
-    log_keep: float            # log of total finite mass
     p_force: float             # P[own metric product is killed -> event true]
     p_neg: float               # P[competitor product killed, own intact]
 
     def signature(self):
         return (self.offset, tuple(self.log_finite.tolist()),
                 round(self.p_force, 15), round(self.p_neg, 15))
+
+    def log_no_force(self, c: int) -> float:
+        """log P[none of c letters in this cell kills the own metric product], c >= 1."""
+        if self.p_force >= 1.0:
+            return NEG_INF
+        return c * math.log1p(-self.p_force) if self.p_force > 0.0 else 0.0
+
+
+def _assemble_tail(log_no_force: float, finite: tuple[np.ndarray, int] | None) -> float:
+    """log P[event]: the forced-error mass plus the finite lattice mass at indices >= 0.
+
+    ``finite`` is the convolved finite-part log-pmf with the lattice index of
+    its first entry, or None when some letter has no finite part.
+    """
+    log_finite_term = NEG_INF
+    if finite is not None:
+        arr, off = finite
+        start = max(0, -off)
+        if start < len(arr):
+            log_finite_term = float(logsumexp(arr[start:]))
+    return float(np.logaddexp(_log1m_exp(log_no_force), log_finite_term))
+
+
+def _tail_of_parts(parts: list[tuple[_CellPMF, int]], power=_pmf_power) -> float:
+    """log tail of a pair whose letters fall ``c`` times into each listed cell (c >= 1)."""
+    log_no_force = sum(cell.log_no_force(c) for cell, c in parts)
+    if any(len(cell.log_finite) == 0 for cell, _ in parts):
+        return _assemble_tail(log_no_force, None)
+    acc = (np.zeros(1), 0)
+    for cell, c in parts:
+        pw = power(cell, c)
+        acc = (_log_convolve(acc[0], pw[0]), acc[1] + pw[1])
+    return _assemble_tail(log_no_force, acc)
 
 
 class PairwiseTailCalculator:
@@ -216,45 +254,29 @@ class PairwiseTailCalculator:
                 for v, p in finite.items():
                     m = 0 if v == 0.0 else lookup[v]
                     by_m[m] = by_m.get(m, 0.0) + p
-                if by_m:
-                    lo, hi = min(by_m), max(by_m)
-                    arr = np.full(hi - lo + 1, NEG_INF)
-                    for m, p in by_m.items():
-                        arr[m - lo] = math.log(p)
-                    keep = math.log(math.fsum(by_m.values()))
-                else:
-                    arr, lo, keep = np.zeros(0), 0, NEG_INF
-                self.cells[key] = _CellPMF(arr, lo, keep, p_force, p_neg)
+                lo = min(by_m, default=0)
+                arr = np.full(max(by_m, default=-1) - lo + 1, NEG_INF)    # empty: no finite part
+                for m, p in by_m.items():
+                    arr[m - lo] = math.log(p)
+                self.cells[key] = _CellPMF(arr, lo, p_force, p_neg)
 
-    def log_tail(self, counts: np.ndarray) -> float:
-        """log P[competitor metric >= own metric] for a pair of the given joint type."""
-        if not self.lattice:
-            raise Error("per-letter log ratios are not on a common lattice")
+    def log_tail(self, counts: np.ndarray, enum_budget: int = ENUM_BUDGET) -> float:
+        """log P[competitor metric >= own metric] for a pair of the given joint type.
+
+        Lattice convolution when the per-letter log ratios are commensurable;
+        otherwise output enumeration of ``representative_pair(counts)``, which
+        refuses when |Y|^n exceeds ``enum_budget``.
+        """
         counts = np.asarray(counts, dtype=int)
-        log_no_force = 0.0
-        parts: list[tuple[np.ndarray, int, int]] = []
-        for (a, b), cell in self.cells.items():
-            c = int(counts[a, b])
-            if c == 0:
-                continue
-            if cell.p_force >= 1.0:
-                log_no_force = NEG_INF
-            elif cell.p_force > 0.0:
-                log_no_force += c * math.log1p(-cell.p_force)
-            parts.append((cell.log_finite, cell.offset, c))
-        log_force_term = _log1m_exp(log_no_force)
-        log_finite_term = NEG_INF
-        if all(len(p[0]) > 0 for p in parts):
-            _check_lattice_extent(int(counts.sum()), max((len(p[0]) for p in parts), default=0))
-            acc = (np.zeros(1), 0)
-            for logp, off, c in parts:
-                pw = _pmf_power(logp, off, c)
-                acc = (_log_convolve(acc[0], pw[0]), acc[1] + pw[1])
-            arr, off = acc
-            start = max(0, -off)
-            if start < len(arr):
-                log_finite_term = float(logsumexp(arr[start:]))
-        return float(np.logaddexp(log_force_term, log_finite_term))
+        if not self.lattice:
+            tail = _tail_by_enumeration(self.channel, self.metric, *representative_pair(counts),
+                                        budget=enum_budget)
+            return NEG_INF if tail == 0.0 else math.log(tail)
+        parts = [(cell, int(counts[a, b])) for (a, b), cell in self.cells.items() if counts[a, b]]
+        widths = [len(cell.log_finite) for cell, _ in parts]
+        if all(widths):
+            _check_lattice_extent(int(counts.sum()), max(widths, default=0))
+        return _tail_of_parts(parts)
 
     def cell_classes(self, q_in: InputDistribution):
         """Group Q-positive cells by identical per-letter pmf; returns (probs, reps)."""
@@ -332,37 +354,37 @@ def dq_exact(channel: ChannelModel, metric: DecodingMetric, x_word, xbar_word,
              enum_budget: int = ENUM_BUDGET, method: str = "auto") -> float:
     """-log P[q^n(xbar, Y) >= q^n(x, Y) | X = x], exact (ties count as errors).
 
-    ``method`` picks the path: lattice convolution when the per-letter log
-    ratios are commensurable (ties decided on the integer lattice), otherwise
-    direct enumeration of output words with exact-rational comparisons.
+    ``method`` picks the path: ``"auto"`` takes the tail calculator's own
+    choice, ``"lattice"`` insists on lattice convolution (ties decided on the
+    integer lattice), ``"enumerate"`` sums over output words of this very pair
+    with exact-rational comparisons.
     """
     x_word = np.asarray(x_word, dtype=int)
     xbar_word = np.asarray(xbar_word, dtype=int)
     if x_word.shape != xbar_word.shape:
         raise Error("codeword pair must share one blocklength")
-    calc = PairwiseTailCalculator(channel, metric)
-    counts = pair_counts(x_word, xbar_word, channel.input_size)
     if method not in ("auto", "lattice", "enumerate"):
         raise Error(f"unknown method {method!r}")
-    if method in ("auto", "lattice") and calc.lattice:
-        return -calc.log_tail(counts)
-    if method == "lattice":
+    if method == "enumerate":
+        tail = _tail_by_enumeration(channel, metric, x_word, xbar_word, budget=enum_budget)
+        return math.inf if tail == 0.0 else -math.log(tail)
+    calc = PairwiseTailCalculator(channel, metric)
+    if method == "lattice" and not calc.lattice:
         raise Error("per-letter log ratios are not on a common lattice")
-    n = len(x_word)
-    if channel.output_size ** n > enum_budget:
-        raise BudgetError(
-            "no exact path: log ratios are not on a common lattice and |Y|^n exceeds the "
-            "enumeration budget; use the additive Chernoff-distance proxy or Monte Carlo")
-    tail = _tail_by_enumeration(channel, metric, x_word, xbar_word)
-    return math.inf if tail == 0.0 else -math.log(tail)
+    return -calc.log_tail(pair_counts(x_word, xbar_word, channel.input_size), enum_budget)
 
 
 def _tail_by_enumeration(channel: ChannelModel, metric: DecodingMetric,
-                         x_word: np.ndarray, xbar_word: np.ndarray) -> float:
+                         x_word: np.ndarray, xbar_word: np.ndarray,
+                         budget: int = ENUM_BUDGET) -> float:
     """Direct sum over output words; metric products compared as exact rationals."""
+    n = len(x_word)
+    if channel.output_size ** n > budget:
+        raise BudgetError(
+            f"no exact tail path: |Y|^n = {channel.output_size}^{n} output words exceed the "
+            f"enumeration budget {budget}; use the additive Chernoff-distance proxy")
     qfrac = [[Fraction(v) for v in row] for row in metric.q.tolist()]
     w = channel.w
-    n = len(x_word)
     terms = []
     for y_word in itertools.product(range(channel.output_size), repeat=n):
         p = 1.0
@@ -384,28 +406,33 @@ def _tail_by_enumeration(channel: ChannelModel, metric: DecodingMetric,
 # exact bound assemblies
 # ---------------------------------------------------------------------------
 
-def _log_expurgation_factor(M: float) -> float:
-    if M <= 1:
-        return NEG_INF
-    return math.log(4.0) + math.log(M - 1.0)
+# (log type probabilities l_t, log pairwise tails lam_t) over the types a sum runs over
+Spectrum = tuple[np.ndarray, np.ndarray]
 
 
-def _warn_small_rho(rho: float):
+def _log_bound(spectrum: Spectrum | None, M: float, rho: float) -> float:
+    """rho * (log 4(M-1) + log sum_t exp(l_t + lam_t / rho)); ``spectrum`` is unused when M <= 1."""
     if rho < 1.0:
         warnings.warn("rho < 1: exponent-study output only, not an achievability bound")
+    if M <= 1:
+        return NEG_INF
+    log_prob, log_tail = spectrum
+    return rho * (math.log(4.0) + math.log(M - 1.0) + float(logsumexp(log_prob + log_tail / rho)))
 
 
-def _log_type_tail(calc: PairwiseTailCalculator, counts: np.ndarray,
-                   enum_budget: int) -> float:
-    if calc.lattice:
-        return calc.log_tail(counts)
-    x, xb = representative_pair(counts)
-    n = len(x)
-    if calc.channel.output_size ** n > enum_budget:
-        raise BudgetError(
-            "no exact tail path: not a lattice instance and |Y|^n exceeds the enumeration budget")
-    tail = _tail_by_enumeration(calc.channel, calc.metric, x, xb)
-    return NEG_INF if tail == 0.0 else math.log(tail)
+def _cc_spectrum(channel: ChannelModel, metric: DecodingMetric, q_in: InputDistribution,
+                 n: int, cap: int = TYPE_CAP, enum_budget: int = ENUM_BUDGET) -> Spectrum:
+    """Spectrum over the joint types with both marginals equal to the composition."""
+    comp = largest_remainder(q_in.q_vec, n)
+    calc = PairwiseTailCalculator(channel, metric)
+    lf = log_factorials(n)
+    log_comp = lf[comp].sum()
+    log_t_class = lf[n] - log_comp
+    log_prob, log_tail = [], []
+    for jt in enumerate_joint_types_with_marginals(comp, comp, cap=cap):
+        log_prob.append(log_comp - lf[jt.counts].sum() - log_t_class)
+        log_tail.append(calc.log_tail(jt.counts, enum_budget))
+    return np.array(log_prob), np.array(log_tail)
 
 
 def log_rcux_cc_exact(channel: ChannelModel, metric: DecodingMetric, q_in: InputDistribution,
@@ -417,27 +444,43 @@ def log_rcux_cc_exact(channel: ChannelModel, metric: DecodingMetric, q_in: Input
     The sum runs over joint types with both marginals equal to the composition;
     the per-type pair probability is an exact arrangement count.
     """
-    _warn_small_rho(rho)
-    if M <= 1:
-        return NEG_INF
-    comp = largest_remainder(q_in.q_vec, n)
-    calc = PairwiseTailCalculator(channel, metric)
-    lf = log_factorials(n)
-    log_comp = lf[comp].sum()
-    log_t_class = lf[n] - log_comp
-    contribs = []
-    for jt in enumerate_joint_types_with_marginals(comp, comp, cap=cap):
-        log_count = log_comp - lf[jt.counts].sum()
-        log_prob = log_count - log_t_class
-        lt = _log_type_tail(calc, jt.counts, enum_budget)
-        contribs.append(log_prob + lt / rho)
-    total = logsumexp(np.array(contribs))
-    return rho * (_log_expurgation_factor(M) + float(total))
+    spectrum = _cc_spectrum(channel, metric, q_in, n, cap, enum_budget) if M > 1 else None
+    return _log_bound(spectrum, M, rho)
 
 
 def rcux_cc_exact(channel: ChannelModel, metric: DecodingMetric, q_in: InputDistribution,
                   n: int, M: float, rho: float, **kw) -> float:
     return math.exp(log_rcux_cc_exact(channel, metric, q_in, n, M, rho, **kw))
+
+
+def _iid_spectrum(channel: ChannelModel, metric: DecodingMetric, q_in: InputDistribution,
+                  n: int, cap: int = TYPE_CAP, enum_budget: int = ENUM_BUDGET) -> Spectrum:
+    """Spectrum of the product-ensemble sum, over the cheapest exact indexing of the types."""
+    calc = PairwiseTailCalculator(channel, metric)
+    if calc.lattice:
+        probs, reps = calc.cell_classes(q_in)
+        inert = [i for i, c in enumerate(reps)
+                 if c.p_force == 0.0 and c.p_neg == 0.0
+                 and len(c.log_finite) == 1 and c.offset == 0]
+        if len(reps) == 2 and len(inert) == 1:
+            active = 1 - inert[0]
+            return _two_class_sweep(reps[active], math.log(probs[inert[0]]),
+                                    math.log(probs[active]), n)
+        if math.comb(n + len(reps) - 1, len(reps) - 1) <= cap:
+            return _class_composition_spectrum(probs, reps, n)
+    qv = q_in.q_vec
+    with np.errstate(divide="ignore"):
+        lqq = np.log(qv)[:, None] + np.log(qv)[None, :]
+    lf = log_factorials(n)
+    log_prob, log_tail = [], []
+    for jt in enumerate_joint_types(n, channel.input_size, cap=cap):
+        mask = jt.counts > 0
+        if np.any(mask & ~np.isfinite(lqq)):
+            continue
+        log_prob.append(lf[n] - lf[jt.counts].sum()
+                        + float((jt.counts * np.where(mask, lqq, 0.0)).sum()))
+        log_tail.append(calc.log_tail(jt.counts, enum_budget))
+    return np.array(log_prob), np.array(log_tail)
 
 
 def log_rcux_iid_exact(channel: ChannelModel, metric: DecodingMetric, q_in: InputDistribution,
@@ -448,104 +491,44 @@ def log_rcux_iid_exact(channel: ChannelModel, metric: DecodingMetric, q_in: Inpu
     Cells with identical per-letter pmfs are merged; a two-class instance with
     one inert class (single zero log ratio) runs in an incremental O(n^2)
     sweep, anything else enumerates class-count compositions under the cap.
+    Non-lattice instances, and class compositions over the cap, fall back to
+    the full joint-type enumeration.
     """
-    _warn_small_rho(rho)
-    if M <= 1:
-        return NEG_INF
-    calc = PairwiseTailCalculator(channel, metric)
-    lead = _log_expurgation_factor(M)
-    if calc.lattice:
-        probs, reps = calc.cell_classes(q_in)
-        inert = [i for i, c in enumerate(reps)
-                 if c.p_force == 0.0 and c.p_neg == 0.0
-                 and len(c.log_finite) == 1 and c.offset == 0]
-        if len(reps) == 2 and len(inert) == 1:
-            active = reps[1 - inert[0]]
-            lp_act = math.log(probs[1 - inert[0]])
-            lp_in = math.log(probs[inert[0]])
-            return rho * (lead + _two_class_sweep(active, lp_in, lp_act, n, rho))
-        total_classes = math.comb(n + len(reps) - 1, len(reps) - 1)
-        if total_classes <= cap:
-            return rho * (lead + _class_composition_sum(probs, reps, n, rho))
-    # general fall-back: full joint-type enumeration
-    qv = q_in.q_vec
-    with np.errstate(divide="ignore"):
-        lqq = np.log(qv)[:, None] + np.log(qv)[None, :]
-    lf = log_factorials(n)
-    contribs = []
-    for jt in enumerate_joint_types(n, channel.input_size, cap=cap):
-        mask = jt.counts > 0
-        if np.any(mask & ~np.isfinite(lqq)):
-            continue
-        log_prob = (lf[n] - lf[jt.counts].sum()
-                    + float((jt.counts * np.where(mask, lqq, 0.0)).sum()))
-        lt = _log_type_tail(calc, jt.counts, enum_budget)
-        contribs.append(log_prob + lt / rho)
-    return rho * (lead + float(logsumexp(np.array(contribs))))
+    spectrum = _iid_spectrum(channel, metric, q_in, n, cap, enum_budget) if M > 1 else None
+    return _log_bound(spectrum, M, rho)
 
 
-def _two_class_sweep(active: _CellPMF, lp_inert: float, lp_active: float,
-                     n: int, rho: float) -> float:
-    """Incremental tail sweep over the number of active letters m = 0..n."""
+def _two_class_sweep(active: _CellPMF, lp_inert: float, lp_active: float, n: int) -> Spectrum:
+    """Spectrum over the number m = 0..n of active letters, one convolution per step."""
     lf = log_factorials(n)
-    log_binom = lf[n] - lf - lf[::-1]
+    m = np.arange(n + 1)
+    log_prob = lf[n] - lf - lf[::-1] + (n - m) * lp_inert + m * lp_active
     base, base_off = active.log_finite, active.offset
     _check_lattice_extent(n, len(base))
     cur, off = np.zeros(1), 0
-    contribs = np.empty(n + 1)
-    contribs[0] = log_binom[0] + n * lp_inert            # tail = 1 at m = 0
-    for m in range(1, n + 1):
-        cur = _log_convolve(cur, base)
-        off += base_off
-        start = max(0, -off)
-        lt = float(logsumexp(cur[start:])) if start < len(cur) else NEG_INF
-        contribs[m] = log_binom[m] + (n - m) * lp_inert + m * lp_active + lt / rho
-    return float(logsumexp(contribs))
+    log_tail = np.zeros(n + 1)                          # tail = 1 at m = 0
+    for k in range(1, n + 1):
+        if len(base):                                   # else every active letter is decided
+            cur = _log_convolve(cur, base)
+            off += base_off
+        log_tail[k] = _assemble_tail(active.log_no_force(k), (cur, off) if len(base) else None)
+    return log_prob, log_tail
 
 
-def _class_composition_sum(probs: np.ndarray, reps: list[_CellPMF], n: int, rho: float) -> float:
+def _class_composition_spectrum(probs: np.ndarray, reps: list[_CellPMF], n: int) -> Spectrum:
+    """Spectrum over the compositions of n letters into the merged cell classes."""
     lp = np.log(probs)
     lf = log_factorials(n)
-    g = len(reps)
     _check_lattice_extent(n, max(len(c.log_finite) for c in reps))
-    power_cache: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
-
-    def powered(i: int, c: int):
-        key = (i, c)
-        if key not in power_cache:
-            power_cache[key] = _pmf_power(reps[i].log_finite, reps[i].offset, c)
-        return power_cache[key]
-
-    contribs = []
-    for comp in _compositions(n, g):
-        log_prob = lf[n]
-        log_no_force = 0.0
-        acc = (np.zeros(1), 0)
-        dead = False
+    power = functools.cache(_pmf_power)        # each (class, count) power is convolved once
+    log_prob, log_tail = [], []
+    for comp in _compositions(n, len(reps)):
+        lpr = lf[n]
         for i, c in enumerate(comp):
-            log_prob += c * lp[i] - lf[c]
-            if c == 0:
-                continue
-            cell = reps[i]
-            if cell.p_force >= 1.0:
-                log_no_force = NEG_INF
-            elif cell.p_force > 0.0:
-                log_no_force += c * math.log1p(-cell.p_force)
-            if len(cell.log_finite) == 0:
-                dead = True
-                continue
-            pw = powered(i, c)
-            acc = (_log_convolve(acc[0], pw[0]), acc[1] + pw[1])
-        lt_force = _log1m_exp(log_no_force)
-        if dead:
-            lt_fin = NEG_INF
-        else:
-            arr, off = acc
-            start = max(0, -off)
-            lt_fin = float(logsumexp(arr[start:])) if start < len(arr) else NEG_INF
-        lt = float(np.logaddexp(lt_force, lt_fin))
-        contribs.append(log_prob + lt / rho)
-    return float(logsumexp(np.array(contribs)))
+            lpr += c * lp[i] - lf[c]
+        log_prob.append(lpr)
+        log_tail.append(_tail_of_parts([(reps[i], c) for i, c in enumerate(comp) if c], power))
+    return np.array(log_prob), np.array(log_tail)
 
 
 def brute_force_pairwise(channel: ChannelModel, metric: DecodingMetric,
@@ -565,7 +548,7 @@ def brute_force_pairwise(channel: ChannelModel, metric: DecodingMetric,
         for xb, pxb in words:
             key = (x.tobytes(), xb.tobytes())
             if key not in tail_cache:
-                tail_cache[key] = _tail_by_enumeration(channel, metric, x, xb)
+                tail_cache[key] = _tail_by_enumeration(channel, metric, x, xb, budget)
             total.append(px * pxb * tail_cache[key] ** (1.0 / rho))
     return math.fsum(total)
 

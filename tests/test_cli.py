@@ -182,6 +182,7 @@ def test_import_and_cli_calls_leave_scipy_unloaded():
         "import expurg\n"
         "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "print(loaded())\n"
+        "import expurg.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [expurg.cli.main(['exponent', '--preset', 'fig1-ml', '--grid', '0.1:0.1:0.1']),\n"
         "             expurg.cli.main(['finite', '--preset', 'bsc', '--n', '100', '--rate', '0.02'])]\n"
@@ -193,6 +194,19 @@ def test_import_and_cli_calls_leave_scipy_unloaded():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[0, 0]", "[]"]
+
+
+def test_python_m_expurg_runs_without_runpy_warning():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    for module in ("expurg", "expurg.cli"):
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", module,
+                               "check", "--preset", "bsc"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[2] == "quantity,value"
 
 
 def test_check_bsc_report(capsys):

@@ -82,6 +82,48 @@ def test_mc_rcux_cc_cross_check():
     assert est.ci_lo <= exact <= est.ci_hi
 
 
+def test_mc_rcux_non_lattice_metric_brackets_exact_value():
+    # one fig1 metric entry scaled by pi/5: the log ratios share no lattice, so
+    # every tail comes from output enumeration
+    ch, q, qin = presets.fig1_mismatched()
+    qm = q.q.copy()
+    qm[0, 1] *= math.pi / 5
+    q = DecodingMetric(qm)
+    assert not type_enum.PairwiseTailCalculator(ch, q).lattice
+    n, M, rho = 4, 4.0, 1.5
+    est = finite.mc_rcux(ch, q, EnsembleSpec("iid", qin), n, M, rho, samples=2_000, seed=1)
+    exact = finite.rcux_rho_pairwise_exact(ch, q, qin, n, M, rho)
+    assert est.ci_lo <= exact <= est.ci_hi
+
+
+def test_optimize_rcux_exact_builds_the_type_sum_once(monkeypatch):
+    builds = []
+    init = type_enum.PairwiseTailCalculator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(type_enum.PairwiseTailCalculator, "__init__", counting_init)
+    cases = [(BSC, 400, 0.02, (-83.18472248528987, 1.1786300201783793)),
+             (presets.fig1_mismatched(), 8, 0.1, (-1.6219720026059563, 1.0000018327047497))]
+    for (ch, q, qin), n, rate, expected in cases:
+        builds.clear()
+        assert finite.optimize_rcux_exact(ch, q, qin, n, math.exp(n * rate)) == expected
+        assert len(builds) == 1
+
+
+def test_pair_types_match_per_pair_counts():
+    rng = np.random.default_rng(0)
+    for k, n in ((2, 1), (3, 7), (4, 30)):
+        xs = rng.integers(0, k, size=(50, n))
+        xbs = rng.integers(0, k, size=(50, n))
+        batch = finite._pair_types(xs, xbs, k)
+        assert batch.dtype == type_enum.pair_counts(xs[0], xbs[0], k).dtype
+        for i in range(50):
+            assert np.array_equal(batch[i], type_enum.pair_counts(xs[i], xbs[i], k))
+
+
 def test_mc_rcux_seed_reproducible():
     ch, q, qin = BSC
     spec = EnsembleSpec("iid", qin)

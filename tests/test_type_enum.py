@@ -15,6 +15,11 @@ from expurg.model import AuxiliaryCostSet, ChannelModel, DecodingMetric, InputDi
 BSC = presets.bsc_ml(0.1)
 FIG1_MM = presets.fig1_mismatched()
 QIN2 = InputDistribution.uniform(2)
+# y = 2 (reachable from x = 0 only) zeroes the own metric of every 0 -> 1 pair: forced errors
+FORCED = (ChannelModel(np.array([[0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])),
+          DecodingMetric(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])), QIN2)
+# every cross pair has its competitor killed: an active class with no finite part
+NOISELESS = (ChannelModel(np.eye(2)), DecodingMetric(np.eye(2)), QIN2)
 
 
 def test_joint_type_counts():
@@ -128,7 +133,8 @@ def test_brute_force_noiseless_counts_self_pairs():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("rho", [1.0, 2.0])
 def test_iid_type_sum_matches_brute_force(n, rho):
-    instances = [presets.bsc_ml(0.1), presets.bsc_ml(0.3)]
+    # FORCED and NOISELESS run the two-class sweep
+    instances = [presets.bsc_ml(0.1), presets.bsc_ml(0.3), FORCED, NOISELESS]
     if n <= 3:      # four merged cell classes: the class-composition sum (n = 4 takes ~13 s)
         instances.append(FIG1_MM)
     for ch, q, qin in instances:
