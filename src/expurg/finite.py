@@ -36,6 +36,7 @@ from .type_enum import (
 )
 
 NEG_INF = -math.inf
+SIM_CHUNK_ELEMENTS = 2 ** 20   # elements of the simulator's largest per-chunk array
 
 
 # ---------------------------------------------------------------------------
@@ -167,15 +168,14 @@ def mc_rcux(channel: ChannelModel, metric: DecodingMetric, ensemble: EnsembleSpe
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     xs = ensemble.sample_words(n, samples, rng, channel)
     xbs = ensemble.sample_words(n, samples, rng, channel)
-    inner: list[float] = []
-    tail_cache: dict[bytes, float] = {}     # tails depend on the pair only through its joint type
-    for counts in _pair_types(xs, xbs, channel.input_size):
-        key = counts.tobytes()
-        if key not in tail_cache:
-            tail_cache[key] = calc.log_tail(counts)
-        inner.append(math.exp(tail_cache[key] / rho))
+    types = _pair_types(xs, xbs, channel.input_size)
+    # tails depend on the pair only through its cell-class counts: one tail per distinct vector
+    _, first, which = np.unique(calc.class_counts(types), axis=0,
+                                return_index=True, return_inverse=True)
+    tails = np.array([calc.log_tail(types[i]) for i in first])
+    inner = np.exp(tails / rho)[which.reshape(-1)]
     mean = math.fsum(inner) / samples
-    var = math.fsum((v - mean) ** 2 for v in inner) / max(samples - 1, 1)
+    var = math.fsum((inner - mean) ** 2) / max(samples - 1, 1)
     half = 1.96 * math.sqrt(var / samples)
     lead = 4.0 * (M - 1.0)
 
@@ -223,15 +223,20 @@ def _estimate_errors(channel: ChannelModel, metric: DecodingMetric, words: np.nd
     with np.errstate(divide="ignore"):
         logq = np.log(metric.q)
     wcum = np.cumsum(channel.w, axis=1)
+    # trials per chunk: the (mm, chunk, n) scores and (chunk, n, |Y|) comparisons stay bounded
+    chunk = max(1, SIM_CHUNK_ELEMENTS // (n * max(mm, channel.output_size)))
     errors = np.empty(mm)
     for m in range(mm):
-        u = rng.random((trials, n))
-        y = (u[:, :, None] > wcum[words[m]][None, :, :]).sum(axis=2)
-        scores = logq[words[:, None, :], y[None, :, :]].sum(axis=2)   # (mm, trials)
-        own = scores[m]
-        rival = np.max(np.delete(scores, m, axis=0), axis=0)
-        tol = 1e-9 * (1.0 + np.abs(own))
-        errors[m] = float(np.mean(rival >= own - tol))
+        count = 0
+        for done in range(0, trials, chunk):
+            u = rng.random((min(chunk, trials - done), n))     # the draws of one unchunked call
+            y = (u[:, :, None] > wcum[words[m]][None, :, :]).sum(axis=2)
+            scores = logq[words[:, None, :], y[None, :, :]].sum(axis=2)   # (mm, chunk)
+            own = scores[m]
+            rival = np.max(np.delete(scores, m, axis=0), axis=0)
+            tol = 1e-9 * (1.0 + np.abs(own))
+            count += int(np.count_nonzero(rival >= own - tol))
+        errors[m] = count / trials
     return errors
 
 

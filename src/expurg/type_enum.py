@@ -9,6 +9,14 @@ convolution of the per-letter log metric ratios when they are commensurable
 enumeration of output words with exact-rational metric comparisons under a
 budget.  The exact sums, ``dq_exact`` and Monte Carlo all call it.
 
+On the lattice the tail depends on a joint type only through its cell-class
+counts: cells with identical per-letter pmfs form one class, so their counts
+add up and inert classes (a single zero log ratio, e.g. the diagonal x = xbar)
+drop out.  Each class power is convolved once per calculator and cached with
+its log-survival array; a tail convolves the powers of all active classes but
+the widest, and meets that last one in the middle with a single dot against
+its survival instead of a final convolution.
+
 Zero-metric letters need care: an output with q(x_i, y_i) = 0 kills the
 transmitted word's whole metric product, so the competitor wins (or ties)
 regardless of the remaining letters; an output with q(xbar_i, y_i) = 0 <
@@ -22,7 +30,6 @@ any rho, so a search over rho sums the types once.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
@@ -50,6 +57,7 @@ TYPE_CAP = 10 ** 7
 ENUM_BUDGET = 10 ** 7
 LATTICE_RTOL = 1e-9
 LATTICE_BUDGET = 10 ** 5      # lattice points one tail convolution may span
+POWER_CACHE_BUDGET = 10 ** 6  # float64 points one calculator's class-power cache may hold
 NEG_INF = -math.inf
 
 
@@ -178,10 +186,17 @@ class _CellPMF:
     offset: int                # lattice index of log_finite[0]
     p_force: float             # P[own metric product is killed -> event true]
     p_neg: float               # P[competitor product killed, own intact]
+    cls: int = -1              # index of the cell class (identical signature) it belongs to
 
     def signature(self):
         return (self.offset, tuple(self.log_finite.tolist()),
                 round(self.p_force, 15), round(self.p_neg, 15))
+
+    @property
+    def inert(self) -> bool:
+        """Every letter ties at log ratio 0: the cell never changes the comparison."""
+        return (self.p_force == 0.0 and self.p_neg == 0.0
+                and len(self.log_finite) == 1 and self.offset == 0)
 
     def log_no_force(self, c: int) -> float:
         """log P[none of c letters in this cell kills the own metric product], c >= 1."""
@@ -190,31 +205,33 @@ class _CellPMF:
         return c * math.log1p(-self.p_force) if self.p_force > 0.0 else 0.0
 
 
-def _assemble_tail(log_no_force: float, finite: tuple[np.ndarray, int] | None) -> float:
+def _upper_mass(arr: np.ndarray, off: int) -> float:
+    """log of the mass a lattice log-pmf starting at index ``off`` puts on indices >= 0."""
+    start = max(0, -off)
+    return float(logsumexp(arr[start:])) if start < len(arr) else NEG_INF
+
+
+def _assemble_tail(log_no_force: float, log_finite_mass: float) -> float:
     """log P[event]: the forced-error mass plus the finite lattice mass at indices >= 0.
 
-    ``finite`` is the convolved finite-part log-pmf with the lattice index of
-    its first entry, or None when some letter has no finite part.
+    ``log_finite_mass`` is NEG_INF when some letter has no finite part.
     """
-    log_finite_term = NEG_INF
-    if finite is not None:
-        arr, off = finite
-        start = max(0, -off)
-        if start < len(arr):
-            log_finite_term = float(logsumexp(arr[start:]))
-    return float(np.logaddexp(_log1m_exp(log_no_force), log_finite_term))
+    return float(np.logaddexp(_log1m_exp(log_no_force), log_finite_mass))
 
 
 def _tail_of_parts(parts: list[tuple[_CellPMF, int]], power=_pmf_power) -> float:
-    """log tail of a pair whose letters fall ``c`` times into each listed cell (c >= 1)."""
+    """log tail of a pair whose letters fall ``c`` times into each listed cell (c >= 1).
+
+    The per-cell chain: every factor's power is convolved in, the last one too.
+    """
     log_no_force = sum(cell.log_no_force(c) for cell, c in parts)
     if any(len(cell.log_finite) == 0 for cell, _ in parts):
-        return _assemble_tail(log_no_force, None)
+        return _assemble_tail(log_no_force, NEG_INF)
     acc = (np.zeros(1), 0)
     for cell, c in parts:
         pw = power(cell, c)
         acc = (_log_convolve(acc[0], pw[0]), acc[1] + pw[1])
-    return _assemble_tail(log_no_force, acc)
+    return _assemble_tail(log_no_force, _upper_mass(*acc))
 
 
 class PairwiseTailCalculator:
@@ -247,18 +264,40 @@ class PairwiseTailCalculator:
         self.span, ints = _lattice_fit(values)
         self.lattice = self.span is not None
         self.cells: dict[tuple[int, int], _CellPMF] = {}
-        if self.lattice:
-            lookup = dict(zip(values, ints))
-            for key, (finite, p_force, p_neg) in raw.items():
-                by_m: dict[int, float] = {}
-                for v, p in finite.items():
-                    m = 0 if v == 0.0 else lookup[v]
-                    by_m[m] = by_m.get(m, 0.0) + p
-                lo = min(by_m, default=0)
-                arr = np.full(max(by_m, default=-1) - lo + 1, NEG_INF)    # empty: no finite part
-                for m, p in by_m.items():
-                    arr[m - lo] = math.log(p)
-                self.cells[key] = _CellPMF(arr, lo, p_force, p_neg)
+        self.classes: list[_CellPMF] = []         # one representative per class, first-seen
+        self._powers: dict[tuple[int, int], tuple[np.ndarray, int, np.ndarray]] = {}
+        self._cached_points = 0
+        if not self.lattice:                      # no classes: every cell stands alone
+            self._class_matrix = np.eye(self.k * self.k, dtype=int)
+            return
+        lookup = dict(zip(values, ints))
+        index: dict[tuple, int] = {}
+        for key, (finite, p_force, p_neg) in raw.items():
+            by_m: dict[int, float] = {}
+            for v, p in finite.items():
+                m = 0 if v == 0.0 else lookup[v]
+                by_m[m] = by_m.get(m, 0.0) + p
+            lo = min(by_m, default=0)
+            arr = np.full(max(by_m, default=-1) - lo + 1, NEG_INF)    # empty: no finite part
+            for m, p in by_m.items():
+                arr[m - lo] = math.log(p)
+            cell = _CellPMF(arr, lo, p_force, p_neg)
+            cell.cls = index.setdefault(cell.signature(), len(index))
+            if cell.cls == len(self.classes):
+                self.classes.append(cell)
+            self.cells[key] = cell
+        # (k*k, classes) 0/1 matrix: flattened cell counts times it give the class counts
+        self._class_matrix = np.eye(len(self.classes), dtype=int)[
+            [cell.cls for cell in self.cells.values()]]
+
+    def class_counts(self, counts: np.ndarray) -> np.ndarray:
+        """Letters per cell class of a joint type, or of a stack of them (..., k, k).
+
+        Lattice tails depend on the joint type only through these counts; off
+        the lattice every cell is its own class.
+        """
+        counts = np.asarray(counts, dtype=int)
+        return counts.reshape(*counts.shape[:-2], self.k * self.k) @ self._class_matrix
 
     def log_tail(self, counts: np.ndarray, enum_budget: int = ENUM_BUDGET) -> float:
         """log P[competitor metric >= own metric] for a pair of the given joint type.
@@ -272,25 +311,60 @@ class PairwiseTailCalculator:
             tail = _tail_by_enumeration(self.channel, self.metric, *representative_pair(counts),
                                         budget=enum_budget)
             return NEG_INF if tail == 0.0 else math.log(tail)
-        parts = [(cell, int(counts[a, b])) for (a, b), cell in self.cells.items() if counts[a, b]]
-        widths = [len(cell.log_finite) for cell, _ in parts]
-        if all(widths):
-            _check_lattice_extent(int(counts.sum()), max(widths, default=0))
-        return _tail_of_parts(parts)
+        merged = self.class_counts(counts)
+        present = [(self.classes[i], int(merged[i])) for i in np.flatnonzero(merged)]
+        active = [(cell, c) for cell, c in present if not cell.inert]
+        log_no_force = sum(cell.log_no_force(c) for cell, c in active)
+        widths = [len(cell.log_finite) for cell, _ in present]
+        if not all(widths):
+            return _assemble_tail(log_no_force, NEG_INF)
+        _check_lattice_extent(int(counts.sum()), max(widths, default=0))
+        if not active:
+            return _assemble_tail(log_no_force, 0.0)
+        # the widest power is not convolved: the others' convolution meets its survival
+        *rest, (last, c_last) = sorted(active, key=lambda p: p[1] * (len(p[0].log_finite) - 1))
+        acc, off = np.zeros(1), 0
+        for cell, c in rest:
+            arr, o, _ = self.power(cell, c)
+            acc, off = _log_convolve(acc, arr), off + o
+        _, o, surv = self.power(last, c_last)
+        # acc[j] sits at index off + j of the partial sum; the last factor must reach -(off + j)
+        idx = np.clip(-(off + o) - np.arange(len(acc)), 0, len(surv) - 1)
+        return _assemble_tail(log_no_force, float(logsumexp(acc + surv[idx])))
+
+    def power(self, cell: _CellPMF, c: int) -> tuple[np.ndarray, int, np.ndarray]:
+        """(power, offset, log-survival) of the cell's class raised to c letters.
+
+        The power is ``_pmf_power`` of the class; the survival array holds
+        log P[power >= i] at each index i, then -inf.  Entries are cached
+        while the cache fits POWER_CACHE_BUDGET points.
+        """
+        key = (cell.cls, c)
+        hit = self._powers.get(key)
+        if hit is None:
+            arr, off = _pmf_power(self.classes[cell.cls], c)
+            hit = (arr, off, np.append(np.logaddexp.accumulate(arr[::-1])[::-1], NEG_INF))
+            points = len(arr) + len(hit[2])
+            if self._cached_points + points <= POWER_CACHE_BUDGET:
+                self._powers[key] = hit
+                self._cached_points += points
+        return hit
 
     def cell_classes(self, q_in: InputDistribution):
-        """Group Q-positive cells by identical per-letter pmf; returns (probs, reps)."""
+        """The classes of Q-positive cells, first-seen; returns (probs, reps).
+
+        Each rep is the first Q-positive cell of its class.
+        """
         qv = q_in.q_vec
-        groups: dict[tuple, tuple[float, _CellPMF]] = {}
+        groups: dict[int, tuple[float, _CellPMF]] = {}
         for (a, b), cell in self.cells.items():
             w = float(qv[a] * qv[b])
             if w <= 0:
                 continue
-            sig = cell.signature()
-            if sig in groups:
-                groups[sig] = (groups[sig][0] + w, groups[sig][1])
+            if cell.cls in groups:
+                groups[cell.cls] = (groups[cell.cls][0] + w, groups[cell.cls][1])
             else:
-                groups[sig] = (w, cell)
+                groups[cell.cls] = (w, cell)
         probs = np.array([g[0] for g in groups.values()])
         reps = [g[1] for g in groups.values()]
         return probs, reps
@@ -459,15 +533,13 @@ def _iid_spectrum(channel: ChannelModel, metric: DecodingMetric, q_in: InputDist
     calc = PairwiseTailCalculator(channel, metric)
     if calc.lattice:
         probs, reps = calc.cell_classes(q_in)
-        inert = [i for i, c in enumerate(reps)
-                 if c.p_force == 0.0 and c.p_neg == 0.0
-                 and len(c.log_finite) == 1 and c.offset == 0]
+        inert = [i for i, c in enumerate(reps) if c.inert]
         if len(reps) == 2 and len(inert) == 1:
             active = 1 - inert[0]
             return _two_class_sweep(reps[active], math.log(probs[inert[0]]),
                                     math.log(probs[active]), n)
         if math.comb(n + len(reps) - 1, len(reps) - 1) <= cap:
-            return _class_composition_spectrum(probs, reps, n)
+            return _class_composition_spectrum(probs, reps, n, calc.power)
     qv = q_in.q_vec
     with np.errstate(divide="ignore"):
         lqq = np.log(qv)[:, None] + np.log(qv)[None, :]
@@ -511,16 +583,21 @@ def _two_class_sweep(active: _CellPMF, lp_inert: float, lp_active: float, n: int
         if len(base):                                   # else every active letter is decided
             cur = _log_convolve(cur, base)
             off += base_off
-        log_tail[k] = _assemble_tail(active.log_no_force(k), (cur, off) if len(base) else None)
+        log_tail[k] = _assemble_tail(active.log_no_force(k),
+                                     _upper_mass(cur, off) if len(base) else NEG_INF)
     return log_prob, log_tail
 
 
-def _class_composition_spectrum(probs: np.ndarray, reps: list[_CellPMF], n: int) -> Spectrum:
-    """Spectrum over the compositions of n letters into the merged cell classes."""
+def _class_composition_spectrum(probs: np.ndarray, reps: list[_CellPMF], n: int,
+                                power) -> Spectrum:
+    """Spectrum over the compositions of n letters into the merged cell classes.
+
+    ``power`` is the calculator's cached class power, so each (class, count)
+    power is convolved once.
+    """
     lp = np.log(probs)
     lf = log_factorials(n)
     _check_lattice_extent(n, max(len(c.log_finite) for c in reps))
-    power = functools.cache(_pmf_power)        # each (class, count) power is convolved once
     log_prob, log_tail = [], []
     for comp in _compositions(n, len(reps)):
         lpr = lf[n]

@@ -113,6 +113,24 @@ def test_optimize_rcux_exact_builds_the_type_sum_once(monkeypatch):
         assert len(builds) == 1
 
 
+def test_mc_rcux_computes_one_tail_per_class_count_vector(monkeypatch):
+    seen = []
+    log_tail = type_enum.PairwiseTailCalculator.log_tail
+
+    def recording_log_tail(self, counts, *args, **kwargs):
+        seen.append(tuple(self.class_counts(counts)))
+        return log_tail(self, counts, *args, **kwargs)
+
+    monkeypatch.setattr(type_enum.PairwiseTailCalculator, "log_tail", recording_log_tail)
+    ch, q, qin = BSC
+    n = 80
+    finite.mc_rcux(ch, q, EnsembleSpec("iid", qin), n, math.exp(0.05 * n), 2.0,
+                   samples=2_000, seed=1)
+    # BSC: the inert diagonal and one active class, so at most n + 1 class-count vectors
+    assert 0 < len(seen) <= n + 1
+    assert len(set(seen)) == len(seen)
+
+
 def test_pair_types_match_per_pair_counts():
     rng = np.random.default_rng(0)
     for k, n in ((2, 1), (3, 7), (4, 30)):
@@ -187,6 +205,54 @@ def test_mc_rcux_cc_runs_at_moderate_blocklength():
     est = finite.mc_rcux(ch, q, spec, 40, 16.0, 1.0, samples=2_000, seed=5)
     assert est.value > 0
     assert est.ci_lo <= est.value <= est.ci_hi
+
+
+def _estimate_errors_unchunked(channel, metric, words, trials, rng):
+    """The simulator's loop before trials were chunked: whole (mm, trials, n) arrays."""
+    mm, n = words.shape
+    with np.errstate(divide="ignore"):
+        logq = np.log(metric.q)
+    wcum = np.cumsum(channel.w, axis=1)
+    errors = np.empty(mm)
+    for m in range(mm):
+        u = rng.random((trials, n))
+        y = (u[:, :, None] > wcum[words[m]][None, :, :]).sum(axis=2)
+        scores = logq[words[:, None, :], y[None, :, :]].sum(axis=2)
+        own = scores[m]
+        rival = np.max(np.delete(scores, m, axis=0), axis=0)
+        tol = 1e-9 * (1.0 + np.abs(own))
+        errors[m] = float(np.mean(rival >= own - tol))
+    return errors
+
+
+@pytest.mark.parametrize("elements", [500, 4096, finite.SIM_CHUNK_ELEMENTS])
+def test_simulator_chunks_draw_the_unchunked_values(monkeypatch, elements):
+    monkeypatch.setattr(finite, "SIM_CHUNK_ELEMENTS", elements)
+    ch, q, qin = presets.fig1_mismatched()
+    words = EnsembleSpec("iid", qin).sample_words(9, 7, np.random.default_rng(4), ch)
+    rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
+    got = finite._estimate_errors(ch, q, words, 1001, rng_a)
+    want = _estimate_errors_unchunked(ch, q, words, 1001, rng_b)
+    assert np.array_equal(got, want)
+    assert rng_a.random() == rng_b.random()      # the same draws were consumed
+
+
+def test_simulator_memory_is_bounded_by_the_chunk():
+    import tracemalloc
+    ch, q, qin = BSC
+    mm, n, trials = 2, 64, 300_000
+    assert mm * trials * n * 8 > 256 * 2 ** 20       # the unchunked score array
+    words = EnsembleSpec("iid", qin).sample_words(n, mm, np.random.default_rng(0), ch)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        errors = finite._estimate_errors(ch, q, words, trials, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 5.0
+    assert peak < 64 * 2 ** 20
+    assert errors.shape == (mm,) and np.all((0.0 <= errors) & (errors <= 1.0))
 
 
 def test_prefactor_constants_bsc_oracle():

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expurg import dual, presets, primal, type_enum
 from expurg._numerics import log_factorials
@@ -183,6 +184,60 @@ def test_lattice_budget_refuses_before_convolving():
     with pytest.raises(BudgetError, match="lattice"):
         calc.log_tail(np.array([[0, 100], [100, 0]]))
     assert time.perf_counter() - t0 < 1.0
+
+
+@st.composite
+def lattice_tail_cases(draw):
+    """A lattice instance (metric entries 0 or powers of 2) and a joint type on it.
+
+    Four draws in five take a fixed instance: the forced-error one, a noiseless
+    channel, the BSC or fig1-mismatched (inert diagonal classes, four classes).
+    """
+    fixed = draw(st.sampled_from([FORCED, NOISELESS, BSC, FIG1_MM, None]))
+    if fixed is not None:
+        ch, q, _ = fixed
+    else:
+        k, ny = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+        w = np.array([[draw(st.integers(0, 4)) for _ in range(ny)] for _ in range(k)], float)
+        w[:, 0] += w.sum(axis=1) == 0                  # no empty row
+        qm = np.array([[draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 8.0]))
+                        for _ in range(ny)] for _ in range(k)])
+        qm[:, -1] += qm.sum(axis=1) == 0
+        ch, q = ChannelModel(w / w.sum(axis=1, keepdims=True)), DecodingMetric(qm)
+    k = ch.input_size
+    counts = np.array([[draw(st.integers(0, 7)) for _ in range(k)] for _ in range(k)])
+    return ch, q, counts
+
+
+@settings(deadline=None, max_examples=150)
+@given(lattice_tail_cases())
+def test_class_merged_tail_matches_per_cell_chain(case):
+    # the per-cell chain convolves every cell's own power, the last one too
+    ch, q, counts = case
+    calc = type_enum.PairwiseTailCalculator(ch, q)
+    assert calc.lattice
+    parts = [(cell, int(counts[a, b])) for (a, b), cell in calc.cells.items() if counts[a, b]]
+    chain = type_enum._tail_of_parts(parts)
+    got = calc.log_tail(counts)
+    if chain == -math.inf:
+        assert got == -math.inf
+    else:
+        assert abs(got - chain) <= 1e-12 * max(1.0, abs(chain))
+
+
+def test_power_cache_stays_within_its_budget(monkeypatch):
+    ch, q, qin = FIG1_MM
+    rng = np.random.default_rng(3)
+    types = rng.integers(0, 30, size=(40, 3, 3))
+    reference = [type_enum.PairwiseTailCalculator(ch, q).log_tail(t) for t in types]
+    for budget in (0, 700, type_enum.POWER_CACHE_BUDGET):
+        monkeypatch.setattr(type_enum, "POWER_CACHE_BUDGET", budget)
+        calc = type_enum.PairwiseTailCalculator(ch, q)
+        for t, want in zip(types, reference):
+            assert calc.log_tail(t) == want          # cached or not, the same arithmetic
+            held = sum(len(arr) + len(surv) for arr, _, surv in calc._powers.values())
+            assert held == calc._cached_points <= budget
+    assert calc._powers                          # the full budget caches
 
 
 def test_iid_fast_path_matches_general_enumeration():
