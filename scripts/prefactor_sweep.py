@@ -11,7 +11,7 @@ import argparse
 import math
 import sys
 
-from expurg import dual, finite, presets
+from expurg import dual, finite, presets, type_enum
 
 
 def main() -> int:
@@ -32,7 +32,7 @@ def main() -> int:
     for n_str in args.n.split(","):
         n = int(n_str)
         M = math.exp(n * args.rate)
-        log_exact = finite.log_rcux_rho_pairwise_exact(ch, q, qin, n, M, rho)
+        log_exact = type_enum.log_rcux_iid_exact(ch, q, qin, n, M, rho)
         log_prod = finite.log_rcux_iid_product(ch, q, qin, n, M, rho, s)
         log_ref = finite.log_refined_bound(ch, q, qin, rho, s, args.rate, n, rep)
         normalized = math.exp(0.5 * math.log(n) + log_exact + n * (ex - rho * args.rate))

@@ -41,9 +41,6 @@ from .finite import (
     expurgate_simulate,
     mc_rcux,
     prefactor_constants,
-    rcux_iid_product,
-    rcux_rho_pairwise_exact,
-    refined_bound,
 )
 from .model import (
     AuxiliaryCostSet,
@@ -79,7 +76,6 @@ from .type_enum import (
     dq_exact,
     enumerate_joint_types,
     enumerator_exponents,
-    rcux_cc_exact,
     rdx,
     theta_cost,
 )

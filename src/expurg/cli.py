@@ -5,7 +5,7 @@ audit), ``finite`` (blocklength sweep of the computable bounds), ``check``
 (single-letter gate report).  Output is CSV with ``#``-prefixed metadata
 lines; byte-identical across runs for a fixed config and seed.
 
-Exit codes: 0 ok, 1 usage error, 2 invariant violation, 3 gate refusal.
+Exit codes: 0 ok, 1 usage error, 2 invariant violation, 3 gate or budget refusal.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 
 from . import __version__, dual, finite, primal
 from .config import RunConfig, load_instance, parse_grid, to_unit
-from .errors import Error, GateRefusalError, UsageError
+from .errors import BudgetError, Error, GateRefusalError, UsageError
 from .model import nonsingularity_set, pi_gamma, validate
 
 GAP_LIMIT = 1e-3
@@ -194,18 +194,16 @@ def cmd_finite(rc: RunConfig) -> int:
     status = EXIT_OK
     for n in rc.n_list:
         M = rc.M if rc.M is not None else math.exp(n * rc.rate)
-        if rc.rho is not None:
-            rho = rc.rho
-            log_exact = finite.log_rcux_rho_pairwise_exact(ch, q, qin, n, M, rho)
-        else:
-            log_exact, rho = finite.optimize_rcux_exact(ch, q, qin, n, M)
+        log_exact, rho = None, rc.rho
+        if spec.kind != "cost":        # the cost-shell ensemble has no exact sum
+            log_exact, rho = finite.optimize_rcux_exact(ch, q, qin, n, M, rho=rc.rho,
+                                                        ensemble=spec.kind)
+        if rc.s is None or rho is None:
+            log_prod, rho_prod, s = finite.optimize_rcux_product(ch, q, qin, n, M, rho=rc.rho)
+            rho = rho_prod if rho is None else rho
         if rc.s is not None:
             s = rc.s
             log_prod = finite.log_rcux_iid_product(ch, q, qin, n, M, rho, s)
-        elif rc.rho is not None:        # the product form and the refined bound at the given rho
-            log_prod, s = finite.optimize_rcux_product_s(ch, q, qin, n, M, rho)
-        else:
-            log_prod, _, s = finite.optimize_rcux_product(ch, q, qin, n, M)
         mc = ci_lo = ci_hi = None
         if rc.samples > 0:
             est = finite.mc_rcux(ch, q, spec, n, M, rho, rc.samples, rc.seed)
@@ -222,6 +220,8 @@ def cmd_finite(rc: RunConfig) -> int:
                      _fmt(mc), _fmt(ci_lo), _fmt(ci_hi), _fmt_exp(log_refined)])
 
     notes = [f"refined_bound refused: {refusal}"] if refusal else []
+    if spec.kind == "cost":
+        notes.append("rcux_exact empty: no exact sum for the cost ensemble")
     _emit(rc, "finite",
           ["n", "rcux_exact", "rcux_product", "mc_estimate", "ci_lo", "ci_hi", "refined_bound"],
           rows, notes=notes)
@@ -267,6 +267,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except GateRefusalError as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_REFUSAL
+    except BudgetError as exc:
+        print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSAL
     except Error as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -28,10 +28,10 @@ from .model import (
     tilted_pair,
 )
 from .type_enum import (
+    _cc_spectrum,
     _iid_spectrum,
     _lattice_fit,
     _log_bound,
-    log_rcux_iid_exact,
     PairwiseTailCalculator,
 )
 
@@ -58,38 +58,24 @@ def log_rcux_iid_product(channel: ChannelModel, metric: DecodingMetric,
     return rho * (math.log(4.0) + math.log(M - 1.0)) - n * ex_iid(channel, metric, q_in, rho, s)
 
 
-def rcux_iid_product(channel: ChannelModel, metric: DecodingMetric, q_in: InputDistribution,
-                     n: int, M: float, rho: float, s: float) -> float:
-    if M <= 1:
-        return 0.0
-    return math.exp(log_rcux_iid_product(channel, metric, q_in, n, M, rho, s))
-
-
-def log_rcux_rho_pairwise_exact(channel: ChannelModel, metric: DecodingMetric,
-                                q_in: InputDistribution, n: int, M: float,
-                                rho: float, **kw) -> float:
-    """log of the exact product-ensemble bound with true pairwise tails."""
-    return log_rcux_iid_exact(channel, metric, q_in, n, M, rho, **kw)
-
-
-def rcux_rho_pairwise_exact(channel: ChannelModel, metric: DecodingMetric,
-                            q_in: InputDistribution, n: int, M: float,
-                            rho: float, **kw) -> float:
-    if M <= 1:
-        return 0.0
-    return math.exp(log_rcux_rho_pairwise_exact(channel, metric, q_in, n, M, rho, **kw))
-
-
 def optimize_rcux_exact(channel: ChannelModel, metric: DecodingMetric,
-                        q_in: InputDistribution, n: int, M: float,
-                        rho_hi: float = 100.0) -> tuple[float, float]:
-    """Minimize the exact pairwise bound over rho >= 1; returns (log value, rho*).
+                        q_in: InputDistribution, n: int, M: float, rho_hi: float = 100.0, *,
+                        rho: float | None = None, ensemble: str = "iid") -> tuple[float, float]:
+    """The exact pairwise bound of the ensemble at ``rho``, or minimized over rho >= 1
+    when ``rho`` is None; returns (log value, rho).
 
-    The types are summed once; each rho the search tries re-weights that spectrum.
+    ``ensemble`` is "iid" (the product ensemble) or "cc" (constant composition);
+    the cost-shell ensemble has no exact sum and raises ``Error``.  The types are
+    summed once; each rho the search tries re-weights that spectrum.
     """
-    if M <= 1:
+    spectra = {"iid": _iid_spectrum, "cc": _cc_spectrum}
+    if ensemble not in spectra:
+        raise Error(f"no exact sum for the {ensemble} ensemble")
+    if rho is None and M <= 1:
         return NEG_INF, 1.0
-    spectrum = _iid_spectrum(channel, metric, q_in, n)
+    spectrum = spectra[ensemble](channel, metric, q_in, n) if M > 1 else None
+    if rho is not None:
+        return _log_bound(spectrum, M, rho), rho
     rho, neg = golden_max(lambda r: -_log_bound(spectrum, M, r), 1.0, rho_hi, xtol=1e-6)
     return -neg, rho
 
@@ -103,23 +89,19 @@ def _log_product_min_s(kern: PairKernel, qv: np.ndarray, n: int, M: float,
     return rho * (math.log(4.0) + math.log(M - 1.0)) - n * ex, s
 
 
-def optimize_rcux_product_s(channel: ChannelModel, metric: DecodingMetric,
-                            q_in: InputDistribution, n: int, M: float,
-                            rho: float) -> tuple[float, float]:
-    """Minimize the product-form bound over s >= 0 at a fixed rho >= 1; returns (log value, s*)."""
-    if rho < 1:
-        raise Error("rho must be at least 1")
-    return _log_product_min_s(PairKernel(channel, metric), q_in.q_vec, n, M, rho)
-
-
 def optimize_rcux_product(channel: ChannelModel, metric: DecodingMetric,
-                          q_in: InputDistribution, n: int, M: float,
-                          rho_hi: float = 100.0) -> tuple[float, float, float]:
-    """Minimize the product-form bound over rho >= 1 and s >= 0; returns (log value, rho*, s*)."""
+                          q_in: InputDistribution, n: int, M: float, rho_hi: float = 100.0, *,
+                          rho: float | None = None) -> tuple[float, float, float]:
+    """Minimize the product-form bound over s >= 0 at ``rho``, and over rho >= 1 too
+    when ``rho`` is None; returns (log value, rho, s*)."""
     kern = PairKernel(channel, metric)
     qv = q_in.q_vec
-    if M <= 1:
-        return NEG_INF, 1.0, _log_product_min_s(kern, qv, n, M, 1.0)[1]
+    if rho is not None and rho < 1:
+        raise Error("rho must be at least 1")
+    if rho is not None or M <= 1:
+        rho = 1.0 if rho is None else rho
+        log_value, s = _log_product_min_s(kern, qv, n, M, rho)
+        return log_value, rho, s
     at_rho: dict[float, tuple[float, float]] = {}
 
     def neg_log(rho: float) -> float:
@@ -277,7 +259,6 @@ class PrefactorReport:
     psi_s: float
     lattice_span: float | None
     nonsingular: bool
-    bound_curve: np.ndarray | None = None
 
 
 def prefactor_constants(channel: ChannelModel, metric: DecodingMetric,
@@ -350,19 +331,3 @@ def log_refined_bound(channel: ChannelModel, metric: DecodingMetric, q_in: Input
         - 0.5 * math.log(2.0 * math.pi * n * report.c0)
     return lead - n * (ex_iid(channel, metric, q_in, rho, s) - rho * rate)
 
-
-def refined_bound(channel: ChannelModel, metric: DecodingMetric, q_in: InputDistribution,
-                  rho: float, s: float, rate: float, n: int,
-                  report: PrefactorReport | None = None) -> float:
-    return math.exp(log_refined_bound(channel, metric, q_in, rho, s, rate, n, report))
-
-
-def refined_curve(channel: ChannelModel, metric: DecodingMetric, q_in: InputDistribution,
-                  rho: float, s: float, rate: float, n_list) -> PrefactorReport:
-    """Prefactor report with the bound evaluated along a blocklength grid."""
-    report = prefactor_constants(channel, metric, q_in, rho, s)
-    curve = np.array([
-        refined_bound(channel, metric, q_in, rho, s, rate, n, report) for n in n_list])
-    return PrefactorReport(
-        c0=report.c0, psi_s=report.psi_s, lattice_span=report.lattice_span,
-        nonsingular=report.nonsingular, bound_curve=curve)

@@ -131,9 +131,6 @@ class AuxiliaryCostSet:
         means = costs @ q_in.q_vec
         return cls(costs, means, shell_width)
 
-    def check_means(self, q_in: InputDistribution) -> bool:
-        return bool(np.max(np.abs(self.costs @ q_in.q_vec - self.means), initial=0.0) <= PROB_ATOL)
-
     @classmethod
     def empty(cls, input_size: int) -> "AuxiliaryCostSet":
         return cls(np.zeros((0, input_size)), np.zeros(0))

@@ -219,17 +219,18 @@ def _assemble_tail(log_no_force: float, log_finite_mass: float) -> float:
     return float(np.logaddexp(_log1m_exp(log_no_force), log_finite_mass))
 
 
-def _tail_of_parts(parts: list[tuple[_CellPMF, int]], power=_pmf_power) -> float:
+def _tail_of_parts(parts: list[tuple[_CellPMF, int]]) -> float:
     """log tail of a pair whose letters fall ``c`` times into each listed cell (c >= 1).
 
-    The per-cell chain: every factor's power is convolved in, the last one too.
+    The per-cell chain, kept as the reference the class-merged ``log_tail``
+    is tested against: every factor's power is convolved in, the last one too.
     """
     log_no_force = sum(cell.log_no_force(c) for cell, c in parts)
     if any(len(cell.log_finite) == 0 for cell, _ in parts):
         return _assemble_tail(log_no_force, NEG_INF)
     acc = (np.zeros(1), 0)
     for cell, c in parts:
-        pw = power(cell, c)
+        pw = _pmf_power(cell, c)
         acc = (_log_convolve(acc[0], pw[0]), acc[1] + pw[1])
     return _assemble_tail(log_no_force, _upper_mass(*acc))
 
@@ -351,12 +352,12 @@ class PairwiseTailCalculator:
         return hit
 
     def cell_classes(self, q_in: InputDistribution):
-        """The classes of Q-positive cells, first-seen; returns (probs, reps).
+        """The classes of Q-positive cells, first-seen; returns (probs, keys).
 
-        Each rep is the first Q-positive cell of its class.
+        Each key is the (x, xbar) of the first Q-positive cell of its class.
         """
         qv = q_in.q_vec
-        groups: dict[int, tuple[float, _CellPMF]] = {}
+        groups: dict[int, tuple[float, tuple[int, int]]] = {}
         for (a, b), cell in self.cells.items():
             w = float(qv[a] * qv[b])
             if w <= 0:
@@ -364,10 +365,10 @@ class PairwiseTailCalculator:
             if cell.cls in groups:
                 groups[cell.cls] = (groups[cell.cls][0] + w, groups[cell.cls][1])
             else:
-                groups[cell.cls] = (w, cell)
+                groups[cell.cls] = (w, (a, b))
         probs = np.array([g[0] for g in groups.values()])
-        reps = [g[1] for g in groups.values()]
-        return probs, reps
+        keys = [g[1] for g in groups.values()]
+        return probs, keys
 
 
 def _log1m_exp(log_s: float) -> float:
@@ -456,7 +457,7 @@ def _tail_by_enumeration(channel: ChannelModel, metric: DecodingMetric,
     if channel.output_size ** n > budget:
         raise BudgetError(
             f"no exact tail path: |Y|^n = {channel.output_size}^{n} output words exceed the "
-            f"enumeration budget {budget}; use the additive Chernoff-distance proxy")
+            f"enumeration budget {budget}")
     qfrac = [[Fraction(v) for v in row] for row in metric.q.tolist()]
     w = channel.w
     terms = []
@@ -494,11 +495,25 @@ def _log_bound(spectrum: Spectrum | None, M: float, rho: float) -> float:
     return rho * (math.log(4.0) + math.log(M - 1.0) + float(logsumexp(log_prob + log_tail / rho)))
 
 
+def _check_enumeration_extent(calc: PairwiseTailCalculator, n: int, count_types,
+                              budget: int):
+    """Refuse off the lattice, before the first tail, when the ``count_types()`` joint
+    types to visit times the |Y|^n output words each one enumerates exceed ``budget``."""
+    words = calc.channel.output_size ** n
+    if not calc.lattice and words * (count_types() if words <= budget else 1) > budget:
+        raise BudgetError(
+            f"no exact tail path: the joint types to visit times |Y|^n = "
+            f"{calc.channel.output_size}^{n} output words exceed the enumeration budget {budget}")
+
+
 def _cc_spectrum(channel: ChannelModel, metric: DecodingMetric, q_in: InputDistribution,
                  n: int, cap: int = TYPE_CAP, enum_budget: int = ENUM_BUDGET) -> Spectrum:
     """Spectrum over the joint types with both marginals equal to the composition."""
     comp = largest_remainder(q_in.q_vec, n)
     calc = PairwiseTailCalculator(channel, metric)
+    _check_enumeration_extent(
+        calc, n, lambda: sum(1 for _ in enumerate_joint_types_with_marginals(comp, comp, cap)),
+        enum_budget)
     lf = log_factorials(n)
     log_comp = lf[comp].sum()
     log_t_class = lf[n] - log_comp
@@ -522,25 +537,22 @@ def log_rcux_cc_exact(channel: ChannelModel, metric: DecodingMetric, q_in: Input
     return _log_bound(spectrum, M, rho)
 
 
-def rcux_cc_exact(channel: ChannelModel, metric: DecodingMetric, q_in: InputDistribution,
-                  n: int, M: float, rho: float, **kw) -> float:
-    return math.exp(log_rcux_cc_exact(channel, metric, q_in, n, M, rho, **kw))
-
-
 def _iid_spectrum(channel: ChannelModel, metric: DecodingMetric, q_in: InputDistribution,
                   n: int, cap: int = TYPE_CAP, enum_budget: int = ENUM_BUDGET) -> Spectrum:
     """Spectrum of the product-ensemble sum, over the cheapest exact indexing of the types."""
     calc = PairwiseTailCalculator(channel, metric)
-    if calc.lattice:
-        probs, reps = calc.cell_classes(q_in)
-        inert = [i for i, c in enumerate(reps) if c.inert]
-        if len(reps) == 2 and len(inert) == 1:
-            active = 1 - inert[0]
-            return _two_class_sweep(reps[active], math.log(probs[inert[0]]),
-                                    math.log(probs[active]), n)
-        if math.comb(n + len(reps) - 1, len(reps) - 1) <= cap:
-            return _class_composition_spectrum(probs, reps, n, calc.power)
     qv = q_in.q_vec
+    if calc.lattice:
+        probs, keys = calc.cell_classes(q_in)
+        inert = [i for i, key in enumerate(keys) if calc.cells[key].inert]
+        if len(keys) == 2 and len(inert) == 1:
+            active = 1 - inert[0]
+            return _two_class_sweep(calc.cells[keys[active]], math.log(probs[inert[0]]),
+                                    math.log(probs[active]), n)
+        if math.comb(n + len(keys) - 1, len(keys) - 1) <= cap:
+            return _class_composition_spectrum(calc, probs, keys, n)
+    _check_enumeration_extent(calc, n, lambda: count_joint_types(n, int(np.count_nonzero(qv))),
+                              enum_budget)
     with np.errstate(divide="ignore"):
         lqq = np.log(qv)[:, None] + np.log(qv)[None, :]
     lf = log_factorials(n)
@@ -588,23 +600,26 @@ def _two_class_sweep(active: _CellPMF, lp_inert: float, lp_active: float, n: int
     return log_prob, log_tail
 
 
-def _class_composition_spectrum(probs: np.ndarray, reps: list[_CellPMF], n: int,
-                                power) -> Spectrum:
+def _class_composition_spectrum(calc: PairwiseTailCalculator, probs: np.ndarray,
+                                keys: list[tuple[int, int]], n: int) -> Spectrum:
     """Spectrum over the compositions of n letters into the merged cell classes.
 
-    ``power`` is the calculator's cached class power, so each (class, count)
-    power is convolved once.
+    Each composition puts its class counts on the classes' first cells, and
+    ``calc.log_tail`` gives its tail from the cached class powers.
     """
     lp = np.log(probs)
     lf = log_factorials(n)
-    _check_lattice_extent(n, max(len(c.log_finite) for c in reps))
+    _check_lattice_extent(n, max(len(calc.cells[key].log_finite) for key in keys))
+    rows, cols = zip(*keys)
+    counts = np.zeros((calc.k, calc.k), dtype=int)
     log_prob, log_tail = [], []
-    for comp in _compositions(n, len(reps)):
+    for comp in _compositions(n, len(keys)):
         lpr = lf[n]
         for i, c in enumerate(comp):
             lpr += c * lp[i] - lf[c]
         log_prob.append(lpr)
-        log_tail.append(_tail_of_parts([(reps[i], c) for i, c in enumerate(comp) if c], power))
+        counts[rows, cols] = comp
+        log_tail.append(calc.log_tail(counts))
     return np.array(log_prob), np.array(log_tail)
 
 

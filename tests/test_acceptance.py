@@ -131,7 +131,7 @@ def test_criterion_4_oracle_equivalence():
             for n in (2, 4):
                 spec = EnsembleSpec("cc", qin)
                 ref = (4.0 * 2.0 * type_enum.brute_force_pairwise(ch, q, spec, n, rho)) ** rho
-                got = type_enum.rcux_cc_exact(ch, q, qin, n, 3.0, rho)
+                got = math.exp(type_enum.log_rcux_cc_exact(ch, q, qin, n, 3.0, rho))
                 assert got == pytest.approx(ref, rel=1e-12)
                 checked += 1
     elapsed = time.perf_counter() - t0
@@ -189,7 +189,7 @@ def test_criterion_7_sqrt_n_prefactor():
     seq = {}
     for n in (100, 400, 1600, 6400):
         M = math.exp(n * rate)
-        log_val = finite.log_rcux_rho_pairwise_exact(ch, q, qin, n, M, 1.0)
+        log_val = type_enum.log_rcux_iid_exact(ch, q, qin, n, M, 1.0)
         seq[n] = math.exp(0.5 * math.log(n) + log_val + n * (ex - rate))
     assert all(math.isfinite(v) for v in seq.values())
     running_max = 0.0

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from expurg import cli, finite, presets
+from expurg import cli, finite, presets, type_enum
 from expurg.config import parse_grid, parse_instance, to_unit
+from expurg.ensembles import EnsembleSpec
 from expurg.errors import UsageError
 
 
@@ -121,7 +122,7 @@ def test_finite_prints_bounds_below_the_smallest_double(capsys):
     ch, q, qin = presets.bsc_ml(0.1)
     m = math.exp(n * rate)
     logs = {
-        "rcux_exact": finite.log_rcux_rho_pairwise_exact(ch, q, qin, n, m, 1.0),
+        "rcux_exact": type_enum.log_rcux_iid_exact(ch, q, qin, n, m, 1.0),
         "rcux_product": finite.log_rcux_iid_product(ch, q, qin, n, m, 1.0, 0.5),
         "refined_bound": finite.log_refined_bound(ch, q, qin, 1.0, 0.5, rate, n),
     }
@@ -147,6 +148,63 @@ def test_finite_fixed_rho_product_column_bounds_exact_column(capsys):
     for row in rows:
         row = dict(zip(header, row))
         assert _log10_of_printed(row["rcux_product"]) >= _log10_of_printed(row["rcux_exact"])
+
+
+def _config_text(ch, q, ensemble: str) -> str:
+    """A config file holding the channel and metric exactly, under the given ensemble."""
+    def rows(m):
+        return "\n".join(" ".join(repr(float(v)) for v in row) for row in m)
+    return f"[channel]\n{rows(ch.w)}\n\n[metric]\n{rows(q.q)}\n\n[ensemble]\n{ensemble}\n"
+
+
+def test_finite_exact_column_follows_the_cc_ensemble(tmp_path, capsys):
+    ch, q, qin = presets.fig1_mismatched()
+    cfg = tmp_path / "cc.cfg"
+    cfg.write_text(_config_text(ch, q, "cc"))
+    code, out, _ = run_cli(["finite", "--config", str(cfg), "--n", "4,9", "--rate", "0.1",
+                            "--rho", "1"], capsys)
+    assert code == 0
+    header, rows = parse_csv(out)
+    for row in rows:
+        n = int(row[0])
+        m = math.exp(n * 0.1)
+        log_cc = type_enum.log_rcux_cc_exact(ch, q, qin, n, m, 1.0)
+        assert row[1] == cli._fmt_exp(log_cc)
+        assert row[1] != cli._fmt_exp(type_enum.log_rcux_iid_exact(ch, q, qin, n, m, 1.0))
+        if n <= 4:
+            brute = type_enum.brute_force_pairwise(ch, q, EnsembleSpec("cc", qin), n, 1.0)
+            assert log_cc == pytest.approx(math.log(4.0 * (m - 1.0) * brute), abs=1e-12)
+
+
+def test_finite_cost_ensemble_prints_no_exact_value(tmp_path, capsys):
+    ch, q, qin = presets.fig1_mismatched()
+    cfg = tmp_path / "cost.cfg"
+    cfg.write_text(_config_text(ch, q, "cost") + "\n[aux_costs]\n0 1 2\n\n[shell_width]\n0.1\n")
+    code, out, _ = run_cli(["finite", "--config", str(cfg), "--n", "4", "--rate", "0.1"], capsys)
+    assert code == 0
+    assert "# rcux_exact empty: no exact sum for the cost ensemble" in out.splitlines()
+    header, rows = parse_csv(out)
+    row = dict(zip(header, rows[0]))
+    assert row["rcux_exact"] == ""
+    # with --rho unset the row runs at the product form's optimum
+    log_prod, rho, s = finite.optimize_rcux_product(ch, q, qin, 4, math.exp(0.4))
+    assert row["rcux_product"] == cli._fmt_exp(log_prod)
+    assert row["refined_bound"] == cli._fmt_exp(
+        finite.log_refined_bound(ch, q, qin, rho, s, 0.1, 4))
+
+
+@pytest.mark.parametrize("n", [8, 20])
+def test_finite_over_the_enumeration_budget_is_refused(n):
+    # fig1-ml is off the lattice: 12,870 joint types x 3^8 output words at n = 8
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "expurg", "finite", "--preset", "fig1-ml",
+                           "--n", str(n), "--rate", "0.1", "--rho", "1"],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("refused: ") and "enumeration budget" in proc.stderr
+    assert "Chernoff" not in proc.stderr
 
 
 def test_unanticipated_failure_exits_with_invariant_code(capsys):

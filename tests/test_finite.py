@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from expurg import finite, presets, type_enum
+from expurg import dual, finite, presets, type_enum
 from expurg.ensembles import EnsembleSpec
 from expurg.errors import Error, GateRefusalError
 from expurg.model import ChannelModel, DecodingMetric, InputDistribution
@@ -21,13 +21,14 @@ LOG9 = math.log(9.0)
 
 def test_rcux_iid_product_single_codeword():
     ch, q, qin = BSC
-    assert finite.rcux_iid_product(ch, q, qin, 10, 1.0, 1.0, 0.5) == 0.0
+    assert math.exp(finite.log_rcux_iid_product(ch, q, qin, 10, 1.0, 1.0, 0.5)) == 0.0
 
 
 def test_rcux_iid_product_single_letter_direct_sum():
     ch, q, qin = BSC
     # direct evaluation of the Markov-weakened single-letter assembly
-    assert finite.rcux_iid_product(ch, q, qin, 1, 2.0, 1.0, 0.5) == pytest.approx(3.2, abs=1e-12)
+    assert math.exp(finite.log_rcux_iid_product(ch, q, qin, 1, 2.0, 1.0, 0.5)) == pytest.approx(
+        3.2, abs=1e-12)
 
 
 def test_rcux_iid_product_regression_baseline():
@@ -40,7 +41,7 @@ def test_rcux_iid_product_regression_baseline():
 
 def test_rcux_exact_single_letter_oracle():
     ch, q, qin = BSC
-    vacuous = finite.rcux_rho_pairwise_exact(ch, q, qin, 1, 2.0, 1.0)
+    vacuous = math.exp(type_enum.log_rcux_iid_exact(ch, q, qin, 1, 2.0, 1.0))
     assert vacuous == pytest.approx(2.2, rel=1e-12)      # 4 * 0.55: vacuous at n = 1
 
 
@@ -48,7 +49,7 @@ def test_rcux_exact_below_product_markov_ordering():
     ch, q, qin = BSC
     for n, M in ((10, 4.0), (50, 8.0)):
         for rho in (1.0, 2.0):
-            exact = finite.log_rcux_rho_pairwise_exact(ch, q, qin, n, M, rho)
+            exact = type_enum.log_rcux_iid_exact(ch, q, qin, n, M, rho)
             from expurg.dual import _sup_s
             from expurg.dual import ex_iid
             _, v = _sup_s(lambda s: ex_iid(ch, q, qin, rho, s))
@@ -59,7 +60,7 @@ def test_rcux_exact_below_product_markov_ordering():
 def test_rcux_exact_binomial_path_is_fast():
     ch, q, qin = BSC
     t0 = time.perf_counter()
-    val = finite.log_rcux_rho_pairwise_exact(ch, q, qin, 200, math.exp(200 * 0.05), 2.0)
+    val = type_enum.log_rcux_iid_exact(ch, q, qin, 200, math.exp(200 * 0.05), 2.0)
     assert time.perf_counter() - t0 < 1.0
     assert math.isfinite(val)
 
@@ -69,7 +70,7 @@ def test_mc_rcux_brackets_exact_value():
     spec = EnsembleSpec("iid", qin)
     n, M, rho = 20, 8.0, 1.5
     est = finite.mc_rcux(ch, q, spec, n, M, rho, samples=20_000, seed=11)
-    exact = finite.rcux_rho_pairwise_exact(ch, q, qin, n, M, rho)
+    exact = math.exp(type_enum.log_rcux_iid_exact(ch, q, qin, n, M, rho))
     assert est.ci_lo <= exact <= est.ci_hi
 
 
@@ -78,7 +79,7 @@ def test_mc_rcux_cc_cross_check():
     spec = EnsembleSpec("cc", qin)
     n, M, rho = 12, 4.0, 1.0
     est = finite.mc_rcux(ch, q, spec, n, M, rho, samples=20_000, seed=3)
-    exact = type_enum.rcux_cc_exact(ch, q, qin, n, M, rho)
+    exact = math.exp(type_enum.log_rcux_cc_exact(ch, q, qin, n, M, rho))
     assert est.ci_lo <= exact <= est.ci_hi
 
 
@@ -92,8 +93,31 @@ def test_mc_rcux_non_lattice_metric_brackets_exact_value():
     assert not type_enum.PairwiseTailCalculator(ch, q).lattice
     n, M, rho = 4, 4.0, 1.5
     est = finite.mc_rcux(ch, q, EnsembleSpec("iid", qin), n, M, rho, samples=2_000, seed=1)
-    exact = finite.rcux_rho_pairwise_exact(ch, q, qin, n, M, rho)
+    exact = math.exp(type_enum.log_rcux_iid_exact(ch, q, qin, n, M, rho))
     assert est.ci_lo <= exact <= est.ci_hi
+
+
+def test_cc_bound_attains_the_cc_exponent_where_iid_falls_short():
+    # fig1-mismatched at 0.1 bits: the cc exponent sits well above the iid one
+    ch, q, qin = presets.fig1_mismatched()
+    rate = 0.1 * math.log(2.0)
+    e_cc = dual.eex_cc_dual(ch, q, qin, rate).value
+    for n in (20, 40):
+        M = math.exp(n * rate)
+        log_cc, _ = finite.optimize_rcux_exact(ch, q, qin, n, M, ensemble="cc")
+        log_iid, _ = finite.optimize_rcux_exact(ch, q, qin, n, M, ensemble="iid")
+        assert 0.0 <= -log_cc / n - e_cc <= 5.0 * math.log(n) / n
+        assert -log_cc / n >= -log_iid / n + 0.05
+
+
+def test_optimize_rcux_exact_at_a_given_rho_and_on_the_cost_ensemble():
+    ch, q, qin = presets.fig1_mismatched()
+    for ensemble, log_exact in (("iid", type_enum.log_rcux_iid_exact),
+                                ("cc", type_enum.log_rcux_cc_exact)):
+        got = finite.optimize_rcux_exact(ch, q, qin, 6, 4.0, rho=1.5, ensemble=ensemble)
+        assert got == (log_exact(ch, q, qin, 6, 4.0, 1.5), 1.5)
+    with pytest.raises(Error, match="no exact sum for the cost ensemble"):
+        finite.optimize_rcux_exact(ch, q, qin, 6, 4.0, ensemble="cost")
 
 
 def test_optimize_rcux_exact_builds_the_type_sum_once(monkeypatch):
@@ -302,7 +326,7 @@ def test_lattice_span_offset_progression():
 def test_refined_bound_regression_values():
     ch, q, qin = BSC
     rep = finite.prefactor_constants(ch, q, qin, 1.0, 0.5)
-    assert finite.refined_bound(ch, q, qin, 1.0, 0.5, 0.02, 100, rep) == pytest.approx(
+    assert math.exp(finite.log_refined_bound(ch, q, qin, 1.0, 0.5, 0.02, 100, rep)) == pytest.approx(
         8.825200977044746e-10, rel=1e-9)
     assert finite.log_refined_bound(ch, q, qin, 1.0, 0.5, 0.02, 1000, rep) == pytest.approx(
         math.log(1.1066583657531361e-89), rel=1e-12)
@@ -334,11 +358,13 @@ def test_refined_bound_improves_on_product_prefactor():
         assert log_ref < log_prod
 
 
-def test_refined_curve_attaches_bound_values():
+def test_refined_bound_decreases_along_blocklengths():
     ch, q, qin = BSC
-    rep = finite.refined_curve(ch, q, qin, 1.0, 0.5, 0.02, [100, 400])
-    assert rep.bound_curve.shape == (2,)
-    assert (np.diff(rep.bound_curve) < 0).all()
+    rep = finite.prefactor_constants(ch, q, qin, 1.0, 0.5)
+    curve = np.array([math.exp(finite.log_refined_bound(ch, q, qin, 1.0, 0.5, 0.02, n, rep))
+                      for n in [100, 400]])
+    assert curve.shape == (2,)
+    assert (np.diff(curve) < 0).all()
 
 
 def test_convergence_diagnostic_small_scale():
@@ -351,7 +377,7 @@ def test_convergence_diagnostic_small_scale():
     seq = []
     for n in (100, 400):
         M = math.exp(n * rate)
-        log_exact = finite.log_rcux_rho_pairwise_exact(ch, q, qin, n, M, 1.0)
+        log_exact = type_enum.log_rcux_iid_exact(ch, q, qin, n, M, 1.0)
         seq.append(0.5 * math.log(n) + log_exact
                    + n * (ex_iid(ch, q, qin, 1.0, 0.5) - rate))
     assert math.exp(seq[-1]) <= 1.5 * const

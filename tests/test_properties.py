@@ -226,7 +226,7 @@ def _bsc(p):
 def test_ordering_chain_exact_below_product(p, n, seed):
     ch, q, qin = _bsc(p)
     for rho in (1.0, 2.0):
-        exact = finite.log_rcux_rho_pairwise_exact(ch, q, qin, n, 4.0, rho)
+        exact = type_enum.log_rcux_iid_exact(ch, q, qin, n, 4.0, rho)
         from expurg.dual import _sup_s, ex_iid
         _, v = _sup_s(lambda s: ex_iid(ch, q, qin, rho, s))
         product = rho * math.log(4 * 3.0) - n * v

@@ -153,19 +153,44 @@ def test_cc_type_sum_matches_brute_force(n, rho):
         spec = EnsembleSpec("cc", qin)
         M = 3.0
         expected = (4.0 * (M - 1) * type_enum.brute_force_pairwise(ch, q, spec, n, rho)) ** rho
-        got = type_enum.rcux_cc_exact(ch, q, qin, n, M, rho)
+        got = math.exp(type_enum.log_rcux_cc_exact(ch, q, qin, n, M, rho))
         assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_rcux_cc_exact_single_codeword_is_zero():
     ch, q, qin = BSC
-    assert type_enum.rcux_cc_exact(ch, q, qin, 4, 1.0, 1.0) == 0.0
+    assert math.exp(type_enum.log_rcux_cc_exact(ch, q, qin, 4, 1.0, 1.0)) == 0.0
 
 
 def test_rcux_small_rho_warns():
     ch, q, qin = BSC
     with pytest.warns(UserWarning, match="not an achievability bound"):
-        type_enum.rcux_cc_exact(ch, q, qin, 2, 2.0, 0.5)
+        type_enum.log_rcux_cc_exact(ch, q, qin, 2, 2.0, 0.5)
+
+
+def test_off_lattice_sums_refuse_before_the_first_tail(monkeypatch):
+    # fig1-ml is off the lattice: each tail enumerates all 3^n output words
+    ch, q, qin = presets.fig1_ml()
+    assert not type_enum.PairwiseTailCalculator(ch, q).lattice
+    n = 4
+    comp = largest_remainder(qin.q_vec, n)
+    cc_types = sum(1 for _ in type_enum.enumerate_joint_types_with_marginals(comp, comp))
+    tails = []
+    log_tail = type_enum.PairwiseTailCalculator.log_tail
+
+    def counting_log_tail(self, *args, **kwargs):
+        tails.append(1)
+        return log_tail(self, *args, **kwargs)
+
+    monkeypatch.setattr(type_enum.PairwiseTailCalculator, "log_tail", counting_log_tail)
+    for fn, types in ((type_enum.log_rcux_iid_exact, type_enum.count_joint_types(n, 3)),
+                      (type_enum.log_rcux_cc_exact, cc_types)):
+        budget = types * 3 ** n
+        assert math.isfinite(fn(ch, q, qin, n, 4.0, 1.0, enum_budget=budget))
+        tails.clear()
+        with pytest.raises(BudgetError, match="enumeration budget"):
+            fn(ch, q, qin, n, 4.0, 1.0, enum_budget=budget - 1)
+        assert not tails
 
 
 def test_lattice_budget_refuses_before_convolving():
